@@ -43,11 +43,9 @@ func main() {
 		translate  = flag.String("translate", "", "translation policy for DLOOP/DFTL: slru|lru|learned (empty = slru)")
 		cmtEntries = flag.Int("cmt-entries", 0, "SRAM mapping-cache entries for DLOOP/DFTL (0 = default 4096); validated against the logical space")
 		bufPages   = flag.Int("buffer-pages", 0, "DRAM write buffer capacity in pages (0 = off)")
-		shards     = flag.String("shards", "1", "timing shards: N workers (1 = sequential), or 'auto' for one per channel; results are bit-identical either way")
 		ftlShards  = flag.String("ftl-shards", "1", "concurrent FTL shards: the logical space splits LPN mod N over N independent FTLs (1 = single FTL), or 'auto' for one per channel on 8+ channel shapes")
 		merge      = flag.String("merge", "", "completion merge mode with -ftl-shards > 1: deterministic|relaxed (empty = deterministic)")
 		epochPages = flag.Int("epoch-pages", 0, "pages per pipeline epoch on the multi-queue front end (0 = default 4096); results are bit-identical across values in deterministic merge")
-		doorbell   = flag.Int("doorbell-batch", 0, "staged page commands per doorbell ring on the multi-queue front end (0 = default 64)")
 		pipeDepth  = flag.Int("pipeline-depth", 0, "multi-queue epoch pipelining: 2 = double-buffered fold overlap (default), 1 = stop-the-world barrier per epoch")
 		warmCache  = flag.String("warmup-cache", "", "directory of persistent warm-up checkpoints, content-addressed by (config, footprint); matching warm-ups restore from disk instead of simulating, fresh ones are published for later runs")
 
@@ -73,11 +71,6 @@ func main() {
 		}
 	}()
 
-	nShards, err := dloop.ParseShards(*shards)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dloopsim: -shards:", err)
-		os.Exit(1)
-	}
 	nFTLShards, err := dloop.ParseShards(*ftlShards)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dloopsim: -ftl-shards:", err)
@@ -96,11 +89,9 @@ func main() {
 		TranslatePolicy: *translate,
 		CMTEntries:      *cmtEntries,
 		BufferPages:     *bufPages,
-		Shards:          nShards,
 		FTLShards:       nFTLShards,
 		Merge:           *merge,
 		EpochPages:      *epochPages,
-		DoorbellBatch:   *doorbell,
 		PipelineDepth:   *pipeDepth,
 	}
 

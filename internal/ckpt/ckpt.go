@@ -260,13 +260,19 @@ func (r *Reader) take(n int) []byte {
 	return b
 }
 
-// sliceLen reads a u32 length prefix and validates the claimed payload fits.
-func (r *Reader) sliceLen(elemSize int) int {
+// Count reads a u32 element count and checks that count elements of at
+// least minSize encoded bytes each fit in the unread payload, so a corrupt
+// prefix fails here rather than sizing an allocation. minSize is the
+// smallest encoding of one element (4 for an element that is itself a
+// length-prefixed slice) and must be at least 1. Every decoder that
+// allocates from a length prefix reads it through Count; it returns 0 after
+// a fault.
+func (r *Reader) Count(minSize int) int {
 	n := int(r.U32())
 	if r.err != nil {
 		return 0
 	}
-	if n > maxSliceElems || n*elemSize > len(r.buf)-r.off {
+	if n > maxSliceElems || n*minSize > len(r.buf)-r.off {
 		r.fail("slice length %d overruns payload", n)
 		return 0
 	}
@@ -330,14 +336,14 @@ func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
 // String reads a length-prefixed string.
 func (r *Reader) String() string {
-	n := r.sliceLen(1)
+	n := r.Count(1)
 	return string(r.take(n))
 }
 
 // I64s reads a length-prefixed []int64 slab into a fresh slice. A zero
 // length decodes to nil, mirroring how Writer encodes nil and empty alike.
 func (r *Reader) I64s() []int64 {
-	n := r.sliceLen(8)
+	n := r.Count(8)
 	if n == 0 {
 		return nil
 	}
@@ -351,7 +357,7 @@ func (r *Reader) I64s() []int64 {
 
 // I32s reads a length-prefixed []int32 slab into a fresh slice.
 func (r *Reader) I32s() []int32 {
-	n := r.sliceLen(4)
+	n := r.Count(4)
 	if n == 0 {
 		return nil
 	}
@@ -365,7 +371,7 @@ func (r *Reader) I32s() []int32 {
 
 // Ints reads a length-prefixed int64-encoded []int slab into a fresh slice.
 func (r *Reader) Ints() []int {
-	n := r.sliceLen(8)
+	n := r.Count(8)
 	if n == 0 {
 		return nil
 	}
@@ -379,7 +385,7 @@ func (r *Reader) Ints() []int {
 
 // Bools reads a length-prefixed []bool slab into a fresh slice.
 func (r *Reader) Bools() []bool {
-	n := r.sliceLen(1)
+	n := r.Count(1)
 	if n == 0 {
 		return nil
 	}

@@ -154,6 +154,19 @@ func TestSliceLenGuard(t *testing.T) {
 	}
 }
 
+// TestCountBoundsByMinSize checks the exported bounded count: a prefix is
+// accepted exactly when count*minSize fits in the bytes left after it.
+func TestCountBoundsByMinSize(t *testing.T) {
+	payload := []byte{3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0} // count 3, 8 bytes left
+	if n := NewReader(payload).Count(2); n != 3 {
+		t.Fatalf("Count(2) = %d, want 3", n)
+	}
+	r := NewReader(payload)
+	if n := r.Count(3); n != 0 || r.Err() == nil {
+		t.Fatalf("Count(3) = %d, err %v; want 0 and an overrun error", n, r.Err())
+	}
+}
+
 // TestBoolRejectsJunk checks a non-0/1 bool byte is a decode error: it means
 // the reader has lost framing, and silently coercing would hide that.
 func TestBoolRejectsJunk(t *testing.T) {

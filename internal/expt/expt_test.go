@@ -285,51 +285,16 @@ func TestGCPolicyStudyQuick(t *testing.T) {
 	}
 }
 
-// TestRunAllShardedBitIdentical runs the same small sweep with the
-// sequential engine and with per-channel timing shards; every cell's Result
-// must be bit-identical, the determinism contract the -shards flag promises.
-func TestRunAllShardedBitIdentical(t *testing.T) {
-	opt := quickOptions()
-	opt.Requests = 600
-	cfg, ok := configFor(4, 2, 0.03, ssd.SchemeDLOOP, opt)
-	if !ok {
-		t.Fatal("configFor failed")
-	}
-	var jobs []job
-	for i, p := range workload.All()[:3] {
-		jobs = append(jobs, job{key: fmt.Sprintf("cell%d", i), cfg: cfg, profile: scaleProfile(p, opt.Scale)})
-	}
-	seq, err := runAll(jobs, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Shards = ssd.AutoShards
-	opt.ParallelCells = 2 // exercise the explicit pool-size override too
-	par, err := runAll(jobs, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(par, seq) {
-		t.Fatalf("sharded sweep diverged from sequential:\nseq %+v\npar %+v", seq, par)
-	}
-}
-
-// TestOptionsWorkerDerivation pins the Workers default: ParallelCells wins,
-// and a sharded sweep divides the CPU budget by the per-cell shard count.
+// TestOptionsWorkerDerivation pins the Workers default: zero derives
+// NumCPU, an explicit count is kept, and a negative one clamps to 1.
 func TestOptionsWorkerDerivation(t *testing.T) {
-	o := Options{ParallelCells: 3, Workers: 9}
-	o.setDefaults()
-	if o.Workers != 3 {
-		t.Fatalf("ParallelCells should override Workers: got %d", o.Workers)
-	}
-	o = Options{Shards: 4}
-	o.setDefaults()
-	if want := max(1, runtime.NumCPU()/4); o.Workers != want {
-		t.Fatalf("sharded default Workers = %d, want %d", o.Workers, want)
-	}
-	o = Options{Shards: ssd.AutoShards}
-	o.setDefaults()
-	if want := max(1, runtime.NumCPU()/4); o.Workers != want {
-		t.Fatalf("auto-sharded default Workers = %d, want %d", o.Workers, want)
+	for _, tc := range []struct{ in, want int }{
+		{0, runtime.NumCPU()}, {3, 3}, {-2, 1},
+	} {
+		o := Options{Workers: tc.in}
+		o.setDefaults()
+		if o.Workers != tc.want {
+			t.Errorf("Workers %d resolved to %d, want %d", tc.in, o.Workers, tc.want)
+		}
 	}
 }

@@ -34,7 +34,7 @@ func EncodeDeviceState(w *ckpt.Writer, s *DeviceState) {
 // different device shape fails cleanly instead of half-restoring.
 func DecodeDeviceState(r *ckpt.Reader, geo Geometry) *DeviceState {
 	s := &DeviceState{}
-	n := int(r.U32())
+	n := r.Count(1)
 	if r.Err() != nil {
 		return nil
 	}
@@ -47,7 +47,7 @@ func DecodeDeviceState(r *ckpt.Reader, geo Geometry) *DeviceState {
 		s.state[i] = PageState(v)
 	}
 	s.lpns = r.I64s()
-	nb := int(r.U32())
+	nb := r.Count(20) // BlockInfo: five I32s
 	if r.Err() != nil {
 		return nil
 	}
@@ -93,7 +93,7 @@ func encodeResources(w *ckpt.Writer, rs []sim.ResourceState) {
 }
 
 func decodeResources(r *ckpt.Reader) []sim.ResourceState {
-	n := int(r.U32())
+	n := r.Count(28) // ResourceState: three I64s, interval count
 	if r.Err() != nil || n == 0 {
 		return nil
 	}
@@ -128,7 +128,7 @@ func decodeStats(r *ckpt.Reader, s *Stats) {
 			s.latency[op][c] = sim.Duration(r.I64())
 		}
 	}
-	n := int(r.U32())
+	n := r.Count(8 * int(numCauses))
 	if r.Err() != nil {
 		return
 	}

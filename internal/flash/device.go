@@ -99,12 +99,6 @@ type Device struct {
 
 	stats Stats
 	rec   obs.Recorder // nil when observability is disabled
-
-	// eng, when non-nil, defers all timing computation to per-channel worker
-	// goroutines (see sharded.go); operations then return future handles in
-	// place of concrete completion times. The state machine above stays on
-	// the caller's goroutine either way.
-	eng *shardEngine
 }
 
 // NewDevice builds an erased device with the given geometry and timing.
@@ -157,21 +151,13 @@ func (d *Device) Timing() Timing { return d.timing }
 
 // Stats returns a snapshot of accumulated operation statistics.
 func (d *Device) Stats() Stats {
-	d.SyncTiming()
 	return d.stats.snapshot()
 }
 
 // SetRecorder attaches (or, with nil, detaches) an observability recorder.
 // Each flash operation then reports its kind, cause, location, and timestamps
 // through it; when nil the only cost is one pointer check per operation.
-// Recorders require the sequential engine (per-op events are ordered); the
-// SSD controller disables sharding before attaching one.
-func (d *Device) SetRecorder(r obs.Recorder) {
-	if r != nil && d.eng != nil {
-		panic("flash: SetRecorder with sharding enabled; disable sharding first")
-	}
-	d.rec = r
-}
+func (d *Device) SetRecorder(r obs.Recorder) { d.rec = r }
 
 // ChannelOfPlane returns the channel index serving a plane (cached form of
 // Geometry.ChannelOfPlane, exported for observability wiring).
@@ -180,7 +166,6 @@ func (d *Device) ChannelOfPlane() []int32 { return d.planeChanIdx }
 // BusyTimes reports cumulative busy time per plane, chip serial bus, and
 // channel resource; it satisfies obs.UtilizationSource.
 func (d *Device) BusyTimes() (planes, chipBus, channels []sim.Duration) {
-	d.SyncTiming()
 	busy := func(rs []*sim.Resource) []sim.Duration {
 		out := make([]sim.Duration, len(rs))
 		for i, r := range rs {
@@ -195,7 +180,6 @@ func (d *Device) BusyTimes() (planes, chipBus, channels []sim.Duration) {
 // page and block state. The SSD controller calls it after preconditioning so
 // the measured run starts from a warmed device at simulated time zero.
 func (d *Device) ResetStats() {
-	d.SyncTiming()
 	for _, r := range d.planes {
 		r.Reset()
 	}
@@ -226,7 +210,6 @@ type DeviceState struct {
 
 // Snapshot captures the device's complete mutable state.
 func (d *Device) Snapshot() *DeviceState {
-	d.SyncTiming()
 	s := &DeviceState{
 		state:    append([]PageState(nil), d.state...),
 		lpns:     append([]int64(nil), d.lpns...),
@@ -252,7 +235,6 @@ func (d *Device) Snapshot() *DeviceState {
 // Existing slices are reused, so restoring does not grow the heap; the
 // snapshot is untouched and may be restored again.
 func (d *Device) Restore(s *DeviceState) {
-	d.SyncTiming()
 	copy(d.state, s.state)
 	copy(d.lpns, s.lpns)
 	copy(d.blocks, s.blocks)
@@ -280,7 +262,6 @@ func (d *Device) Block(pb PlaneBlock) BlockInfo { return d.blocks[d.geo.BlockInd
 
 // PlaneFreeAt reports when the plane's cell array next becomes idle.
 func (d *Device) PlaneFreeAt(plane int) sim.Time {
-	d.SyncTiming()
 	return d.planes[plane].FreeAt()
 }
 
@@ -315,9 +296,6 @@ func (d *Device) ReadPage(ppn PPN, ready sim.Time, cause Cause) (sim.Time, error
 			ppn, d.geo.BlockOf(ppn), ErrReadInvalid, d.state[ppn])
 	}
 	plane := d.planeOf(ppn)
-	if d.eng != nil {
-		return d.eng.submit(opRead, cause, plane, ready), nil
-	}
 	pl := d.planes[plane]
 	chip, ch := d.busFor(plane)
 
@@ -350,10 +328,6 @@ func (d *Device) WritePage(ppn PPN, lpn int64, ready sim.Time, cause Cause) (sim
 			ppn, d.geo.BlockOf(ppn), ErrWriteNotFree, d.state[ppn])
 	}
 	plane := d.planeOf(ppn)
-	if d.eng != nil {
-		d.program(ppn, lpn)
-		return d.eng.submit(opWrite, cause, plane, ready), nil
-	}
 	pl := d.planes[plane]
 	chip, ch := d.busFor(plane)
 
@@ -398,12 +372,6 @@ func (d *Device) CopyBack(src, dst PPN, ready sim.Time, cause Cause) (sim.Time, 
 		return 0, fmt.Errorf("flash: copy-back dst ppn %d: %w, page is %v", dst, ErrWriteNotFree, d.state[dst])
 	}
 
-	if d.eng != nil {
-		lpn := d.lpns[src]
-		d.invalidate(src)
-		d.program(dst, lpn)
-		return d.eng.submit(opCopyBack, cause, plane, ready), nil
-	}
 	pl := d.planes[plane]
 	start, end := pl.Acquire(ready, d.timing.CopyBack())
 
@@ -443,9 +411,6 @@ func (d *Device) Erase(pb PlaneBlock, ready sim.Time, cause Cause) (sim.Time, er
 	d.blocks[bi].NextWrite = 0
 	d.blocks[bi].Erases++
 	d.stats.BlockErases[bi]++
-	if d.eng != nil {
-		return d.eng.submit(opErase, cause, pb.Plane, ready), nil
-	}
 	pl := d.planes[pb.Plane]
 	start, end := pl.Acquire(ready, d.timing.BlockErase)
 

@@ -47,7 +47,7 @@ func DecodeState(r *ckpt.Reader) any {
 		pool:      ftl.DecodeFreeBlocksState(r),
 		dataBlock: r.I64s(),
 	}
-	n := int(r.U32())
+	n := r.Count(1) // presence flag
 	if r.Err() != nil {
 		return nil
 	}

@@ -15,7 +15,7 @@ func EncodeFreeBlocksState(w *ckpt.Writer, s FreeBlocksState) {
 // DecodeFreeBlocksState reads a FreeBlocksState written by
 // EncodeFreeBlocksState.
 func DecodeFreeBlocksState(r *ckpt.Reader) FreeBlocksState {
-	n := int(r.U32())
+	n := r.Count(4) // per-plane Ints slab
 	if r.Err() != nil {
 		return FreeBlocksState{}
 	}
@@ -51,13 +51,13 @@ func DecodeTrackerState(r *ckpt.Reader) TrackerState {
 		invalid: r.I32s(),
 		inBkt:   r.I32s(),
 	}
-	planes := int(r.U32())
+	planes := r.Count(4) // per-plane bucket count
 	if r.Err() != nil {
 		return TrackerState{}
 	}
 	s.buckets = make([][][]int32, planes)
 	for p := range s.buckets {
-		counts := int(r.U32())
+		counts := r.Count(4) // per-count I32s slab
 		if r.Err() != nil {
 			return TrackerState{}
 		}

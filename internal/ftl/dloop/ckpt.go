@@ -37,7 +37,7 @@ func DecodeState(r *ckpt.Reader) any {
 		pool:    ftl.DecodeFreeBlocksState(r),
 		tracker: ftl.DecodeTrackerState(r),
 	}
-	n := int(r.U32())
+	n := r.Count(25) // writePoint: three Ints, one Bool
 	if r.Err() != nil {
 		return nil
 	}

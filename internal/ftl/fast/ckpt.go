@@ -46,7 +46,7 @@ func DecodeState(r *ckpt.Reader) any {
 		pool:      ftl.DecodeFreeBlocksState(r),
 		dataBlock: r.I64s(),
 	}
-	n := int(r.U32())
+	n := r.Count(8)
 	if r.Err() != nil {
 		return nil
 	}
@@ -62,7 +62,7 @@ func DecodeState(r *ckpt.Reader) any {
 	s.rwActive = r.Bool()
 	s.rwBlock = decodePlaneBlock(r)
 	s.rwNext = r.Int()
-	nf := int(r.U32())
+	nf := r.Count(16) // PlaneBlock: two Ints
 	if r.Err() != nil {
 		return nil
 	}

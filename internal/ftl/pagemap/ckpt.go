@@ -36,7 +36,7 @@ func EncodeState(w *ckpt.Writer, snap any) error {
 // PureMap.Restore accepts.
 func DecodeState(r *ckpt.Reader) any {
 	s := &state{}
-	n := int(r.U32())
+	n := r.Count(8)
 	if r.Err() != nil {
 		return nil
 	}
@@ -48,7 +48,7 @@ func DecodeState(r *ckpt.Reader) any {
 	}
 	s.pool = ftl.DecodeFreeBlocksState(r)
 	s.tracker = ftl.DecodeTrackerState(r)
-	nc := int(r.U32())
+	nc := r.Count(25) // writePoint: three Ints, one Bool
 	if r.Err() != nil {
 		return nil
 	}

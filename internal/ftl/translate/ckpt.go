@@ -45,14 +45,14 @@ func DecodeState(r *ckpt.Reader) State {
 		cache: decodeCacheState(r),
 		gtd:   decodePPNs(r),
 	}
-	n := int(r.U32())
+	n := r.Count(4) // per-segment-list count
 	if r.Err() != nil {
 		return State{}
 	}
 	if n > 0 {
 		s.learned.segs = make([][]segment, n)
 		for i := range s.learned.segs {
-			cnt := int(r.U32())
+			cnt := r.Count(32) // segment: start, stride, count, base, delta
 			if r.Err() != nil {
 				return State{}
 			}
@@ -102,7 +102,7 @@ func encodePPNs(w *ckpt.Writer, s []flash.PPN) {
 }
 
 func decodePPNs(r *ckpt.Reader) []flash.PPN {
-	n := int(r.U32())
+	n := r.Count(8)
 	if r.Err() != nil || n == 0 {
 		return nil
 	}
@@ -173,7 +173,7 @@ func encodeCacheState(w *ckpt.Writer, s CacheState) {
 
 func decodeCacheState(r *ckpt.Reader) CacheState {
 	s := CacheState{n: r.Int()}
-	ns := int(r.U32())
+	ns := r.Count(33) // entry: lpn, ppn, flags, four links
 	if r.Err() != nil {
 		return CacheState{}
 	}
@@ -194,7 +194,7 @@ func decodeCacheState(r *ckpt.Reader) CacheState {
 	if r.Bool() {
 		s.dense = r.I32s()
 	} else {
-		nk := int(r.U32())
+		nk := r.Count(12) // index pair: lpn, slot
 		if r.Err() != nil {
 			return CacheState{}
 		}

@@ -8,8 +8,8 @@ import (
 // SPSC is the single-producer single-consumer mailbox between the control
 // goroutine and one shard worker. The producer publishes fixed-size
 // descriptors in global issue order; the consumer drains them FIFO, which is
-// what keeps every per-resource acquisition sequence identical to the
-// sequential engine's.
+// what keeps each shard's operation sequence identical to serial in-order
+// execution.
 //
 // The ring is lock-free in the common case: the producer writes the element
 // and releases it by advancing tail; the consumer acquires tail, copies the

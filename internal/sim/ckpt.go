@@ -23,7 +23,7 @@ func DecodeResourceState(r *ckpt.Reader) ResourceState {
 		busyFor:    Duration(r.I64()),
 		ops:        r.I64(),
 	}
-	n := int(r.U32())
+	n := r.Count(16) // interval: start, end
 	if r.Err() != nil {
 		return ResourceState{}
 	}

@@ -8,22 +8,15 @@ import (
 
 // Future-time handles.
 //
-// The sharded engine keeps every FTL decision on one control goroutine and
-// moves only the resource-timeline arithmetic onto per-channel workers. The
-// control plane must therefore hand the FTL a completion time *before* the
-// worker has computed it. A future handle is that promise: a Time whose bit
-// pattern encodes a slot in a FutureSlab instead of a point in simulated
-// time. Legitimate times are non-negative (nanoseconds since simulation
-// start), so the negative half of the Time domain is free to carry handles:
-// slot s is encoded as ^s, which is always negative.
-//
-// Handles flow through the existing FTL/device signatures unchanged — every
-// in-tree consumer either chains a returned time into the next operation's
-// ready argument (where the worker resolves it) or hands it back to the
-// controller (which resolves it at an epoch barrier). Nothing in the decision
-// plane does arithmetic or comparisons on device-returned times; that
-// property is what makes the encoding safe, and the differential tests in
-// internal/ssd enforce it.
+// The multi-queue front end (internal/ssd) dispatches page commands to shard
+// workers and must park each request's completion time *before* the worker
+// has computed it. A future handle is that promise: a Time whose bit pattern
+// encodes a slot in a FutureSlab instead of a point in simulated time.
+// Legitimate times are non-negative (nanoseconds since simulation start), so
+// the negative half of the Time domain is free to carry handles: slot s is
+// encoded as ^s, which is always negative. The host resolves handles only
+// while folding an epoch, in arrival order, so nothing does arithmetic or
+// comparisons on a handle itself.
 
 // MakeFutureTime encodes a FutureSlab slot as a Time handle.
 func MakeFutureTime(slot int) Time { return Time(^int64(slot)) }
@@ -85,11 +78,9 @@ func (s *FutureSlab) Resolve(slot int, end Time) {
 	s.chunks[slot>>slabChunkBits].Load()[slot&slabChunkMask].Store(int64(end))
 }
 
-// Wait blocks until a slot resolves and returns its value. Safe from both
-// the control goroutine (resolving a dependency mid-epoch) and workers
-// (resolving a cross-shard ready time). Waits are short — the op being
-// waited on was issued earlier, so it is at or near the head of its shard's
-// queue — and on a loaded machine yielding beats spinning.
+// Wait blocks until a slot resolves and returns its value. Waits are short
+// — the op being waited on was issued earlier, so it is at or near the head
+// of its shard's queue — and on a loaded machine yielding beats spinning.
 func (s *FutureSlab) Wait(slot int) Time {
 	slotp := &s.chunks[slot>>slabChunkBits].Load()[slot&slabChunkMask]
 	for i := 0; ; i++ {

@@ -81,7 +81,6 @@ func (c *Controller) Restore(cp *Checkpoint) error {
 		if !ok {
 			return fmt.Errorf("ssd: FTL %s does not support checkpointing", c.f.Name())
 		}
-		c.discardPending() // in-flight timing belongs to the run being abandoned
 		if err := snapper.Restore(cp.ftlState); err != nil {
 			return err
 		}

@@ -113,7 +113,7 @@ func (c *Controller) DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("ssd: checkpoint front-end layout does not match controller")
 	}
 	if hasFE {
-		n := int(r.U32())
+		n := r.Count(1)
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
@@ -256,7 +256,7 @@ func encodeBufferState(w *ckpt.Writer, b *bufferState) {
 }
 
 func decodeBufferState(r *ckpt.Reader) *bufferState {
-	n := int(r.U32())
+	n := r.Count(16) // dirty pair: lpn, sequence
 	if r.Err() != nil {
 		return nil
 	}
@@ -266,7 +266,7 @@ func decodeBufferState(r *ckpt.Reader) *bufferState {
 		b.dirty[k] = r.Int()
 	}
 	b.seq = r.Int()
-	no := int(r.U32())
+	no := r.Count(8)
 	if r.Err() != nil {
 		return nil
 	}

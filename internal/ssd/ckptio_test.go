@@ -21,7 +21,7 @@ func TestEncodedCheckpointRoundTrip(t *testing.T) {
 		SchemePureMap, SchemePureMapStriped}
 	for _, scheme := range schemes {
 		t.Run(scheme, func(t *testing.T) {
-			fresh := buildTinyShards(t, scheme, 0)
+			fresh := buildTiny(t, scheme)
 			preconditionTiny(t, fresh)
 			w := tinyWorkload(t, fresh, 1500, 31)
 			want, err := fresh.Run(trace.NewSliceReader(w))
@@ -29,7 +29,7 @@ func TestEncodedCheckpointRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			donor := buildTinyShards(t, scheme, 0)
+			donor := buildTiny(t, scheme)
 			preconditionTiny(t, donor)
 			cp, err := donor.Snapshot()
 			if err != nil {
@@ -47,7 +47,7 @@ func TestEncodedCheckpointRoundTrip(t *testing.T) {
 				t.Fatal("encoding the same checkpoint twice produced different bytes")
 			}
 
-			rec := buildTinyShards(t, scheme, 0)
+			rec := buildTiny(t, scheme)
 			cp2, err := rec.DecodeCheckpoint(data)
 			if err != nil {
 				t.Fatal(err)
@@ -171,7 +171,7 @@ func TestEncodedCheckpointWithBufferAndSeries(t *testing.T) {
 // controllers and damaged containers to the right one; every case must fail
 // loudly instead of restoring corrupt state.
 func TestDecodeCheckpointRejects(t *testing.T) {
-	donor := buildTinyShards(t, SchemeDLOOP, 0)
+	donor := buildTiny(t, SchemeDLOOP)
 	preconditionTiny(t, donor)
 	cp, err := donor.Snapshot()
 	if err != nil {
@@ -182,7 +182,7 @@ func TestDecodeCheckpointRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wrongScheme := buildTinyShards(t, SchemeDFTL, 0)
+	wrongScheme := buildTiny(t, SchemeDFTL)
 	if _, err := wrongScheme.DecodeCheckpoint(data); err == nil ||
 		!strings.Contains(err.Error(), "controller runs") {
 		t.Fatalf("foreign-scheme checkpoint accepted: %v", err)

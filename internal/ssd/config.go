@@ -33,7 +33,8 @@ const (
 // Schemes lists the three FTLs in the order the paper's figures plot them.
 func Schemes() []string { return []string{SchemeDLOOP, SchemeDFTL, SchemeFAST} }
 
-// AutoShards, as Config.Shards, selects one timing shard per channel.
+// AutoShards, as Config.FTLShards, selects one FTL shard per channel on
+// devices with at least 8 channels and the single-FTL engine below that.
 const AutoShards = -1
 
 // Config describes one simulated SSD, in the units Table I uses.
@@ -79,14 +80,6 @@ type Config struct {
 	// dirty logical pages are absorbed at DRAM speed and flushed to the FTL
 	// lazily. 0 (the default, used by all experiments) disables it.
 	BufferPages int
-	// Shards selects the sharded timing engine: resource-timeline math runs
-	// on this many per-channel worker goroutines while FTL decisions stay on
-	// the caller's goroutine, bit-identical to the sequential engine (see
-	// DESIGN.md, "Sharded simulation"). 0 or 1 keeps today's sequential
-	// engine; AutoShards uses one shard per channel; larger values are
-	// clamped to the channel count. Attaching an observability recorder
-	// forces the sequential engine for as long as it stays attached.
-	Shards int
 	// FTLShards partitions the logical address space over this many
 	// concurrent FTL shards behind a multi-queue host front end (see
 	// frontend.go). Each shard owns a private sub-device of
@@ -118,10 +111,6 @@ type Config struct {
 	// knob trades fold granularity against slab footprint. Exposed as
 	// -epoch-pages in the commands.
 	EpochPages int
-	// DoorbellBatch is how many staged page commands accumulate before the
-	// front end rings the shard doorbells (0 = default 64). A producer-side
-	// batching knob; results are identical across values.
-	DoorbellBatch int
 	// PipelineDepth selects the multi-queue front end's epoch pipelining:
 	// 2 (the default for 0) double-buffers the completion slabs so the host
 	// folds epoch K while the shards execute epoch K+1; 1 restores the
@@ -364,9 +353,6 @@ func Build(cfg Config) (*Controller, error) {
 	if cfg.EpochPages < 0 {
 		return nil, fmt.Errorf("ssd: negative EpochPages %d", cfg.EpochPages)
 	}
-	if cfg.DoorbellBatch < 0 {
-		return nil, fmt.Errorf("ssd: negative DoorbellBatch %d", cfg.DoorbellBatch)
-	}
 	geo, extra, err := resolveGeometry(cfg)
 	if err != nil {
 		return nil, err
@@ -400,9 +386,7 @@ func Build(cfg Config) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := newController(dev, f, cfg)
-	c.applySharding()
-	return c, nil
+	return newController(dev, f, cfg), nil
 }
 
 // ScaledGeometryFor shrinks GeometryFor's result by scale for quick runs:
@@ -473,7 +457,6 @@ func (c *Controller) Recover() (*Controller, error) {
 		return nil, err
 	}
 	nc := newController(c.dev, f, cfg)
-	nc.applySharding()
 	nc.ResetMeasurement()
 	return nc, nil
 }

@@ -93,10 +93,9 @@ func stripWelfordFloats(r Result) Result {
 }
 
 // TestMQDifferential is the randomized differential suite for the multi-queue
-// front end: for every scheme, shard counts 2/4/8 across two channel shapes,
-// both merge modes, and (on the widest shape) the timing engine layered
-// underneath, a concurrently executing front end replays the same trace as a
-// serially executing one with the identical shard layout. Deterministic merge
+// front end: for every scheme, shard counts 2/4/8 across two channel shapes
+// and both merge modes, a concurrently executing front end replays the same
+// trace as a serially executing one with the identical shard layout. Deterministic merge
 // must reproduce the serial baseline bit for bit — Results, per-request
 // latency streams, mapping tables, and per-shard device states; relaxed merge
 // must match everything except the Welford running floats, which it may
@@ -106,12 +105,10 @@ func TestMQDifferential(t *testing.T) {
 		name   string
 		geo    flash.Geometry
 		shards int
-		timing int // Config.Shards layered under each shard
 	}{
-		{"2ch-2shard", tinyGeometry(), 2, 0},
-		{"8ch-4shard", tiny8Geometry(), 4, 0},
-		{"8ch-8shard", tiny8Geometry(), 8, 0},
-		{"8ch-4shard-timing", tiny8Geometry(), 4, 2},
+		{"2ch-2shard", tinyGeometry(), 2},
+		{"8ch-4shard", tiny8Geometry(), 4},
+		{"8ch-8shard", tiny8Geometry(), 8},
 	}
 	for _, scheme := range allSchemes {
 		t.Run(scheme, func(t *testing.T) {
@@ -119,7 +116,6 @@ func TestMQDifferential(t *testing.T) {
 				for _, merge := range []string{MergeDeterministic, MergeRelaxed} {
 					t.Run(sp.name+"/"+merge, func(t *testing.T) {
 						cfg := mqConfig(scheme, sp.geo, sp.shards, merge)
-						cfg.Shards = sp.timing
 						ser := buildMQ(t, cfg)
 						ser.fe.flush(ser)
 						ser.fe.serial = true // in-order baseline, same shard layout
@@ -367,6 +363,96 @@ func TestMQServePath(t *testing.T) {
 	}
 }
 
+// recordReader hides a reader's NextN, so Run feeds the front end one
+// Enqueue per request instead of through the batch dispatch stage.
+type recordReader struct{ trace.Reader }
+
+// TestShardedDifferential is the randomized differential test of the
+// sharded front end's two dispatch paths: for every scheme and several
+// workload seeds, one controller takes the trace request by request through
+// Enqueue and a twin takes it in chunks through the batch dispatch stage.
+// The epoch cuts differ, so deterministic merge must make the per-request
+// latency streams match element for element, the Results bit for bit, the
+// mapping tables entry for entry, and every shard's device timelines
+// interval for interval.
+func TestShardedDifferential(t *testing.T) {
+	for _, scheme := range allSchemes {
+		t.Run(scheme, func(t *testing.T) {
+			for _, seed := range []int64{1, 37, 101} {
+				cfg := mqConfig(scheme, tiny8Geometry(), 4, MergeDeterministic)
+				one := buildMQ(t, cfg)
+				bat := buildMQ(t, cfg)
+				var oneLat, batLat []sim.Duration
+				one.SetLatencyHook(func(d sim.Duration) { oneLat = append(oneLat, d) })
+				bat.SetLatencyHook(func(d sim.Duration) { batLat = append(batLat, d) })
+				preconditionTiny(t, one)
+				preconditionTiny(t, bat)
+				w := tinyWorkload(t, one, 2500, seed)
+
+				want, err := one.Run(recordReader{trace.NewSliceReader(w)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := bat.Run(trace.NewSliceReader(w))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d: Results differ\nper-request: %+v\nbatched:     %+v", seed, want, got)
+				}
+				if len(oneLat) != len(w) || !reflect.DeepEqual(oneLat, batLat) {
+					t.Fatalf("seed %d: latency streams differ: %d vs %d samples for %d requests",
+						seed, len(oneLat), len(batLat), len(w))
+				}
+				for lpn := ftl.LPN(0); lpn < one.Capacity(); lpn++ {
+					if a, b := lookupMQ(t, one, lpn), lookupMQ(t, bat, lpn); a != b {
+						t.Fatalf("seed %d: lpn %d maps to %d (per-request) vs %d (batched)", seed, lpn, a, b)
+					}
+				}
+				for i := 0; i < one.FTLShards(); i++ {
+					if !reflect.DeepEqual(one.ShardDevice(i).Snapshot(), bat.ShardDevice(i).Snapshot()) {
+						t.Fatalf("seed %d: shard %d device state (timelines/stats) diverged", seed, i)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestShardedServePath checks that the synchronous Serve API on a sharded
+// controller is only a barrier placement: each call's response time must
+// equal the one a pipelined Run of the same trace reports for that request,
+// and the final Results must match bit for bit.
+func TestShardedServePath(t *testing.T) {
+	cfg := mqConfig(SchemeDLOOP, tiny8Geometry(), 4, MergeDeterministic)
+	srv := buildMQ(t, cfg)
+	run := buildMQ(t, cfg)
+	preconditionTiny(t, srv)
+	preconditionTiny(t, run)
+	w := tinyWorkload(t, srv, 800, 5)
+	var runLat []sim.Duration
+	run.SetLatencyHook(func(d sim.Duration) { runLat = append(runLat, d) })
+	want, err := run.Run(trace.NewSliceReader(w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runLat) != len(w) {
+		t.Fatalf("Run reported %d latencies for %d requests", len(runLat), len(w))
+	}
+	for i, r := range w {
+		rt, err := srv.Serve(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rt != runLat[i] {
+			t.Fatalf("request %d: rt %v (Serve) vs %v (Run)", i, rt, runLat[i])
+		}
+	}
+	if got := srv.Result(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("results diverged on the Serve path\nServe: %+v\nRun:   %+v", got, want)
+	}
+}
+
 // TestMQCrashRecovery simulates power loss on a sharded controller: Recover
 // rebuilds every shard's SRAM state from its own sub-device's out-of-band
 // tags. The shard partitioning is part of the persistent layout (LPN mod N
@@ -604,6 +690,36 @@ func TestMQSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// TestShardedSteadyStateAllocFree is the batch-dispatch twin of
+// TestMQSteadyStateAllocFree: on the 8-channel shape, chunks fed through
+// EnqueueBatch (the path Run takes with a batching reader) must allocate
+// nothing per request once the staging arrays, rings and slabs reach their
+// high-water marks. The batch is read-only to keep GC out of the window.
+func TestShardedSteadyStateAllocFree(t *testing.T) {
+	c := buildMQ(t, mqConfig(SchemeDLOOP, tiny8Geometry(), 4, MergeDeterministic))
+	preconditionTiny(t, c)
+	reqs := tinyWorkload(t, c, 2000, 29)
+	for i := range reqs {
+		reqs[i].Op = trace.OpRead
+	}
+	i := 0
+	serveBatch := func() {
+		if i+100 > len(reqs) {
+			i = 0
+		}
+		if err := c.EnqueueBatch(reqs[i : i+100]); err != nil {
+			t.Fatal(err)
+		}
+		i += 100
+		c.Flush()
+	}
+	serveBatch() // reach steady state: staging arrays, rings, slab chunks
+	serveBatch()
+	if avg := testing.AllocsPerRun(10, serveBatch); avg > 0 {
+		t.Fatalf("batch dispatch path allocates %.1f times per 100-request epoch, want 0", avg)
+	}
+}
+
 // TestObservedMQSteadyStateAllocFree is the observed twin of
 // TestMQSteadyStateAllocFree: attaching a metrics-only collector (no trace
 // sinks, no snapshot series) must keep the multi-queue serving path
@@ -656,6 +772,36 @@ func TestMQBuildRejections(t *testing.T) {
 	cfg = mqConfig(SchemeDLOOP, tinyGeometry(), 0, "bogus")
 	if _, err := Build(cfg); err == nil {
 		t.Error("Build accepted unknown merge mode")
+	}
+}
+
+// TestShardsConfigResolution pins the Config.FTLShards contract through
+// Build: 0/1 keep the single-FTL engine (which carries its own FTL and
+// device), explicit counts reduce to a divisor of the channel count, and
+// AutoShards engages one shard per channel only at 8+ channels, keeping the
+// single FTL on the 2- and 4-channel shapes.
+func TestShardsConfigResolution(t *testing.T) {
+	tiny4 := tiny8Geometry()
+	tiny4.Channels = 4
+	for _, tc := range []struct {
+		geo    flash.Geometry
+		shards int
+		want   int
+	}{
+		{tinyGeometry(), 0, 1}, {tinyGeometry(), 1, 1}, {tinyGeometry(), 2, 2},
+		{tinyGeometry(), 8, 2}, {tinyGeometry(), AutoShards, 1},
+		{tiny4, AutoShards, 1}, {tiny4, 3, 2},
+		{tiny8Geometry(), AutoShards, 8}, {tiny8Geometry(), 3, 2},
+	} {
+		c := buildMQ(t, mqConfig(SchemeDLOOP, tc.geo, tc.shards, ""))
+		if got := c.FTLShards(); got != tc.want {
+			t.Errorf("FTLShards=%d on %d channels resolved to %d shards, want %d",
+				tc.shards, tc.geo.Channels, got, tc.want)
+		}
+		if single := c.FTL() != nil && c.Device() != nil; single != (tc.want == 1) {
+			t.Errorf("FTLShards=%d on %d channels: single-FTL engine = %v, want %v",
+				tc.shards, tc.geo.Channels, single, tc.want == 1)
+		}
 	}
 }
 

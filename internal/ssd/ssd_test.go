@@ -31,6 +31,15 @@ func tinyGeometry() flash.Geometry {
 	}
 }
 
+// allSchemes lists every FTL scheme the cross-cutting suites run.
+var allSchemes = []string{SchemeDLOOP, SchemeDFTL, SchemeFAST, SchemeBAST,
+	SchemePureMap, SchemePureMapStriped}
+
+// seqEngine labels the cross-cutting suites' subtests that run on the
+// single-FTL engine, which serves each request to completion in arrival
+// order; the multi-queue front end has its own suites in frontend_test.go.
+const seqEngine = "seq"
+
 func tinyConfig(scheme string) Config {
 	geo := tinyGeometry()
 	return Config{

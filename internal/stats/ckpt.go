@@ -66,7 +66,7 @@ func DecodeTimeSeries(r *ckpt.Reader) *TimeSeries {
 		return nil
 	}
 	ts := &TimeSeries{bucket: sim.Duration(r.I64())}
-	n := int(r.U32())
+	n := r.Count(40) // Welford: five 8-byte fields
 	if r.Err() != nil {
 		return nil
 	}

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 
@@ -85,6 +84,10 @@ func (r *DiskSimReader) parseLine(line []byte) (Request, error) {
 	if err != nil {
 		return Request{}, fmt.Errorf("arrival %q: %v", f[0], err)
 	}
+	arrival, err := arrivalTime(ms, sim.Millisecond)
+	if err != nil {
+		return Request{}, fmt.Errorf("arrival %q: %v", f[0], err)
+	}
 	lbn, err := parseIntBytes(f[2])
 	if err != nil {
 		return Request{}, fmt.Errorf("blkno %q: %v", f[2], err)
@@ -102,7 +105,7 @@ func (r *DiskSimReader) parseLine(line []byte) (Request, error) {
 		op = OpRead
 	}
 	req := Request{
-		Arrival: sim.Time(0).Add(sim.Duration(math.Round(ms * float64(sim.Millisecond)))),
+		Arrival: arrival,
 		LBN:     lbn,
 		Sectors: size,
 		Op:      op,
@@ -149,6 +152,10 @@ func parseDiskSimLine(line string) (Request, error) {
 	if err != nil {
 		return Request{}, fmt.Errorf("arrival %q: %v", f[0], err)
 	}
+	arrival, err := arrivalTime(ms, sim.Millisecond)
+	if err != nil {
+		return Request{}, fmt.Errorf("arrival %q: %v", f[0], err)
+	}
 	lbn, err := strconv.ParseInt(f[2], 10, 64)
 	if err != nil {
 		return Request{}, fmt.Errorf("blkno %q: %v", f[2], err)
@@ -166,7 +173,7 @@ func parseDiskSimLine(line string) (Request, error) {
 		op = OpRead
 	}
 	req := Request{
-		Arrival: sim.Time(0).Add(sim.Duration(math.Round(ms * float64(sim.Millisecond)))),
+		Arrival: arrival,
 		LBN:     lbn,
 		Sectors: size,
 		Op:      op,

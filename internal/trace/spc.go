@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"math"
 
 	"dloop/internal/sim"
 )
@@ -77,6 +76,9 @@ func (r *SPCReader) parseLine(line []byte) (Request, error) {
 	if err != nil {
 		return Request{}, fmt.Errorf("size %q: %v", f[2], err)
 	}
+	if size < 0 {
+		return Request{}, fmt.Errorf("size %q: negative byte count", f[2])
+	}
 	// Case-insensitive single-letter opcode. Only ASCII can lower-case to
 	// 'r' or 'w', so the byte compare matches strings.ToLower exactly.
 	var op Op
@@ -93,12 +95,16 @@ func (r *SPCReader) parseLine(line []byte) (Request, error) {
 	if err != nil {
 		return Request{}, fmt.Errorf("timestamp %q: %v", f[4], err)
 	}
+	arrival, err := arrivalTime(secs, sim.Second)
+	if err != nil {
+		return Request{}, fmt.Errorf("timestamp %q: %v", f[4], err)
+	}
 	sectors := (size + SectorSize - 1) / SectorSize
 	if sectors == 0 {
 		sectors = 1
 	}
 	req := Request{
-		Arrival: sim.Time(0).Add(sim.Duration(math.Round(secs * float64(sim.Second)))),
+		Arrival: arrival,
 		LBN:     lba,
 		Sectors: sectors,
 		Op:      op,

@@ -7,6 +7,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"dloop/internal/sim"
@@ -86,6 +87,19 @@ func (r Request) Validate() error {
 		return fmt.Errorf("trace: unknown op %d", r.Op)
 	}
 	return nil
+}
+
+// arrivalTime converts a trace timestamp of v units into simulated time. It
+// rejects NaN, ±Inf, and values outside the int64 nanosecond clock before
+// converting: Go leaves an out-of-range float-to-integer conversion
+// implementation-defined, so such a value would otherwise surface as an
+// arbitrary (often negative) arrival, or be accepted outright.
+func arrivalTime(v float64, unit sim.Duration) (sim.Time, error) {
+	ns := math.Round(v * float64(unit))
+	if !(ns > math.MinInt64 && ns < math.MaxInt64) {
+		return 0, fmt.Errorf("%v is outside the simulated clock's range", v)
+	}
+	return sim.Time(0).Add(sim.Duration(ns)), nil
 }
 
 // Reader yields a sequence of requests in non-decreasing arrival order.

@@ -97,6 +97,21 @@ func TestDiskSimRejectsMalformed(t *testing.T) {
 			t.Errorf("accepted malformed line %q", in)
 		}
 	}
+	// Arrivals the nanosecond clock cannot hold fail as arrival errors
+	// before the float-to-int conversion, never as "negative arrival". The
+	// NBSP-separated line takes the reference (non-ASCII) parser.
+	for _, in := range []string{
+		"NaN 0 100 8 0",
+		"+Inf 0 100 8 0",
+		"1e300 0 100 8 0",
+		"-1e300 0 100 8 0",
+		"1e300\u00a00 100 8 0",
+	} {
+		_, err := ReadAll(NewDiskSimReader(strings.NewReader(in)))
+		if err == nil || !strings.Contains(err.Error(), "arrival") || strings.Contains(err.Error(), "negative") {
+			t.Errorf("%q: err = %v, want an arrival range error", in, err)
+		}
+	}
 }
 
 func TestSPCRoundTrip(t *testing.T) {
@@ -138,6 +153,21 @@ func TestSPCRejectsMalformed(t *testing.T) {
 	} {
 		if _, err := ReadAll(NewSPCReader(strings.NewReader(in))); err == nil {
 			t.Errorf("accepted malformed line %q", in)
+		}
+	}
+	// A negative size is an error; sector rounding must not turn -1..-1022
+	// bytes into a 1-sector request.
+	for _, in := range []string{"0,100,-1,r,0.5", "0,100,-1022,r,0.5"} {
+		if _, err := ReadAll(NewSPCReader(strings.NewReader(in))); err == nil || !strings.Contains(err.Error(), "size") {
+			t.Errorf("%q: err = %v, want a size error", in, err)
+		}
+	}
+	// Timestamps the nanosecond clock cannot hold fail before the
+	// float-to-int conversion, never as "negative arrival".
+	for _, in := range []string{"0,100,512,r,NaN", "0,100,512,r,+Inf", "0,100,512,r,1e300", "0,100,512,r,-1e300"} {
+		_, err := ReadAll(NewSPCReader(strings.NewReader(in)))
+		if err == nil || !strings.Contains(err.Error(), "timestamp") || strings.Contains(err.Error(), "negative") {
+			t.Errorf("%q: err = %v, want a timestamp range error", in, err)
 		}
 	}
 }
