@@ -3,12 +3,12 @@
 // self-describing file container (magic, format version, payload length,
 // checksum).
 //
-// The package deliberately knows nothing about simulator state. Every state
-// struct in this repository keeps its fields unexported, so the encode and
-// decode logic for each type lives in the package that owns it (sim, flash,
-// stats, the FTL schemes, ssd); ckpt only supplies the byte-level vocabulary
-// they share. That keeps the import graph acyclic: ckpt imports nothing from
-// the simulator, everyone else imports ckpt.
+// The package deliberately knows nothing about simulator state. Every live
+// structure keeps its fields unexported, so each one encodes itself and
+// decodes straight back into itself in the package that owns it (sim,
+// flash, stats, the FTL schemes, ssd); ckpt only supplies the byte-level
+// vocabulary they share. That keeps the import graph acyclic: ckpt imports
+// nothing from the simulator, everyone else imports ckpt.
 //
 // Layout conventions: all integers are little-endian and fixed-width, slices
 // are length-prefixed (u32 count, then the elements back to back), so any
@@ -56,23 +56,14 @@ type Writer struct {
 	buf []byte
 }
 
-var writerPool = sync.Pool{New: func() any { return &Writer{} }}
-
-// NewWriter returns a pooled Writer with the container header reserved;
-// finish with Seal and recycle with PutWriter.
-func NewWriter() *Writer {
-	w := writerPool.Get().(*Writer)
-	w.buf = append(w.buf[:0], make([]byte, headerSize)...)
-	return w
-}
-
-// PutWriter recycles a Writer's buffer. The caller must be done with every
-// slice obtained from Bytes or Seal.
-func PutWriter(w *Writer) {
-	if cap(w.buf) > 64<<20 { // don't pin giant buffers forever
-		w.buf = nil
+// NewWriter returns a Writer with the container header reserved and room
+// for capacity bytes in all, so a caller that knows roughly how large the
+// container will be encodes it into one allocation; finish with Seal.
+func NewWriter(capacity int) *Writer {
+	if capacity < headerSize {
+		capacity = headerSize
 	}
-	writerPool.Put(w)
+	return &Writer{buf: make([]byte, headerSize, capacity)}
 }
 
 // Len returns the number of bytes written so far (including the reserved
@@ -152,24 +143,6 @@ func (w *Writer) String(s string) {
 	w.buf = append(w.buf, s...)
 }
 
-// I64s appends a length-prefixed []int64 slab.
-func (w *Writer) I64s(s []int64) {
-	w.U32(uint32(len(s)))
-	dst := w.grow(8 * len(s))
-	for i, v := range s {
-		binary.LittleEndian.PutUint64(dst[8*i:], uint64(v))
-	}
-}
-
-// I32s appends a length-prefixed []int32 slab.
-func (w *Writer) I32s(s []int32) {
-	w.U32(uint32(len(s)))
-	dst := w.grow(4 * len(s))
-	for i, v := range s {
-		binary.LittleEndian.PutUint32(dst[4*i:], uint32(v))
-	}
-}
-
 // Ints appends a length-prefixed []int slab, widened to int64.
 func (w *Writer) Ints(s []int) {
 	w.U32(uint32(len(s)))
@@ -195,6 +168,13 @@ func (w *Writer) Bools(s []bool) {
 // A Reader consumes a buffer written by Writer. Errors are sticky: after the
 // first failure every read returns a zero value, so decoders can run
 // straight-line and check Err once at the end.
+//
+// Slab readers decode into slices the caller already owns (the live state
+// being restored) instead of allocating: the exact-length forms (SlabInto,
+// IntsInto, BoolsInto) fail unless the encoded length equals the
+// destination's, and the Append forms bound the length by a caller-supplied
+// maximum. A short or long slab is therefore a decode error, never a silent
+// partial copy.
 type Reader struct {
 	buf []byte
 	off int
@@ -204,32 +184,39 @@ type Reader struct {
 // NewReader returns a Reader over a raw payload (no container header).
 func NewReader(b []byte) *Reader { return &Reader{buf: b} }
 
-// Open validates a container (magic, version, length, checksum) and returns
-// a Reader over its payload. The Reader aliases data; decoded slices are
-// always copied out, so data may be recycled once decoding finishes.
-func Open(data []byte) (*Reader, error) {
+// Open validates a container (magic, version, length, checksum) and points
+// r at its payload, clearing any earlier error. The Reader aliases data
+// until the next Open; decoders copy values out, so data may be recycled
+// once decoding finishes. A zero Reader is ready to Open, so a long-lived
+// owner can keep one by value and restore without allocating.
+func (r *Reader) Open(data []byte) error {
+	*r = Reader{}
 	if len(data) < headerSize {
-		return nil, fmt.Errorf("ckpt: short container: %d bytes", len(data))
+		return fmt.Errorf("ckpt: short container: %d bytes", len(data))
 	}
 	if string(data[0:4]) != magic {
-		return nil, fmt.Errorf("ckpt: bad magic %q", data[0:4])
+		return fmt.Errorf("ckpt: bad magic %q", data[0:4])
 	}
 	if v := binary.LittleEndian.Uint32(data[4:8]); v != Version {
-		return nil, fmt.Errorf("ckpt: format version %d, want %d", v, Version)
+		return fmt.Errorf("ckpt: format version %d, want %d", v, Version)
 	}
 	n := binary.LittleEndian.Uint64(data[8:16])
 	if n != uint64(len(data)-headerSize) {
-		return nil, fmt.Errorf("ckpt: payload length %d does not match container size %d", n, len(data)-headerSize)
+		return fmt.Errorf("ckpt: payload length %d does not match container size %d", n, len(data)-headerSize)
 	}
 	payload := data[headerSize:]
 	if sum := crc32.Checksum(payload, crcTable); sum != binary.LittleEndian.Uint32(data[16:20]) {
-		return nil, fmt.Errorf("ckpt: payload checksum mismatch")
+		return fmt.Errorf("ckpt: payload checksum mismatch")
 	}
-	return NewReader(payload), nil
+	r.buf = payload
+	return nil
 }
 
 // Err returns the first error encountered, if any.
 func (r *Reader) Err() error { return r.err }
+
+// Remaining returns the number of unread payload bytes.
+func (r *Reader) Remaining() int { return len(r.buf) - r.off }
 
 // fail records the first error.
 func (r *Reader) fail(format string, args ...any) {
@@ -238,8 +225,8 @@ func (r *Reader) fail(format string, args ...any) {
 	}
 }
 
-// Failf lets a decoder record a semantic error (bad flag byte, unknown
-// variant) through the same sticky channel as read errors.
+// Failf lets a decoder record a semantic error (bad flag byte, index out of
+// range, shape mismatch) through the same sticky channel as read errors.
 func (r *Reader) Failf(format string, args ...any) {
 	if r.err == nil {
 		r.err = fmt.Errorf(format, args...)
@@ -262,11 +249,10 @@ func (r *Reader) take(n int) []byte {
 
 // Count reads a u32 element count and checks that count elements of at
 // least minSize encoded bytes each fit in the unread payload, so a corrupt
-// prefix fails here rather than sizing an allocation. minSize is the
+// prefix fails here rather than driving a long loop. minSize is the
 // smallest encoding of one element (4 for an element that is itself a
-// length-prefixed slice) and must be at least 1. Every decoder that
-// allocates from a length prefix reads it through Count; it returns 0 after
-// a fault.
+// length-prefixed slice) and must be at least 1. It returns 0 after a
+// fault.
 func (r *Reader) Count(minSize int) int {
 	n := int(r.U32())
 	if r.err != nil {
@@ -279,8 +265,39 @@ func (r *Reader) Count(minSize int) int {
 	return n
 }
 
+// Len is Count for a slab the live structure bounds: it also fails unless
+// the count is at most max.
+func (r *Reader) Len(minSize, max int) int {
+	n := r.Count(minSize)
+	if n > max {
+		r.fail("slice length %d exceeds %d", n, max)
+		return 0
+	}
+	return n
+}
+
+// Slab reads a slab's element count, fails unless it equals want, and
+// returns a view of the slab's want*size bytes (nil after a fault). It is
+// the exact-length primitive beneath the typed Into readers, exported for
+// element types they do not cover.
+func (r *Reader) Slab(want, size int) []byte {
+	n := r.Count(size)
+	if r.err != nil {
+		return nil
+	}
+	if n != want {
+		r.fail("slab length %d, live structure has %d", n, want)
+		return nil
+	}
+	return r.take(size * n)
+}
+
 // Raw consumes n bytes and returns a view into the payload (not a copy).
 func (r *Reader) Raw(n int) []byte { return r.take(n) }
+
+// Bytes reads a length-prefixed byte string (as written by Writer.String)
+// and returns a view into the payload.
+func (r *Reader) Bytes() []byte { return r.take(r.Count(1)) }
 
 // U8 reads one byte.
 func (r *Reader) U8() uint8 {
@@ -334,74 +351,60 @@ func (r *Reader) Int() int { return int(r.I64()) }
 // F64 reads a float64 from its bit pattern.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
-// String reads a length-prefixed string.
-func (r *Reader) String() string {
-	n := r.Count(1)
-	return string(r.take(n))
-}
-
-// I64s reads a length-prefixed []int64 slab into a fresh slice. A zero
-// length decodes to nil, mirroring how Writer encodes nil and empty alike.
-func (r *Reader) I64s() []int64 {
-	n := r.Count(8)
-	if n == 0 {
-		return nil
-	}
-	b := r.take(8 * n)
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out
-}
-
-// I32s reads a length-prefixed []int32 slab into a fresh slice.
-func (r *Reader) I32s() []int32 {
-	n := r.Count(4)
-	if n == 0 {
-		return nil
-	}
-	b := r.take(4 * n)
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
-}
-
-// Ints reads a length-prefixed int64-encoded []int slab into a fresh slice.
-func (r *Reader) Ints() []int {
-	n := r.Count(8)
-	if n == 0 {
-		return nil
-	}
-	b := r.take(8 * n)
-	out := make([]int, n)
-	for i := range out {
-		out[i] = int(int64(binary.LittleEndian.Uint64(b[8*i:])))
-	}
-	return out
-}
-
-// Bools reads a length-prefixed []bool slab into a fresh slice.
-func (r *Reader) Bools() []bool {
-	n := r.Count(1)
-	if n == 0 {
-		return nil
-	}
-	b := r.take(n)
-	out := make([]bool, n)
-	for i, v := range b {
-		switch v {
-		case 0:
-		case 1:
-			out[i] = true
-		default:
-			r.fail("bad bool byte in slab")
-			return nil
+// IntsInto reads a length-prefixed int64-encoded []int slab of exactly
+// len(dst) elements into dst.
+func (r *Reader) IntsInto(dst []int) {
+	if b := r.Slab(len(dst), 8); b != nil {
+		for i := range dst {
+			dst[i] = int(int64(binary.LittleEndian.Uint64(b[8*i:])))
 		}
 	}
-	return out
+}
+
+// BoolsInto reads a length-prefixed []bool slab of exactly len(dst)
+// elements into dst.
+func (r *Reader) BoolsInto(dst []bool) {
+	b := r.Slab(len(dst), 1)
+	for i, v := range b {
+		if v > 1 {
+			r.fail("bad bool byte in slab")
+			return
+		}
+		dst[i] = v == 1
+	}
+}
+
+// AppendI64s reads a length-prefixed []int64 slab of at most max elements
+// and appends it to dst.
+func (r *Reader) AppendI64s(dst []int64, max int) []int64 {
+	n := r.Len(8, max)
+	b := r.take(8 * n)
+	for i := 0; i < len(b); i += 8 {
+		dst = append(dst, int64(binary.LittleEndian.Uint64(b[i:])))
+	}
+	return dst
+}
+
+// AppendI32s reads a length-prefixed []int32 slab of at most max elements
+// and appends it to dst.
+func (r *Reader) AppendI32s(dst []int32, max int) []int32 {
+	n := r.Len(4, max)
+	b := r.take(4 * n)
+	for i := 0; i < len(b); i += 4 {
+		dst = append(dst, int32(binary.LittleEndian.Uint32(b[i:])))
+	}
+	return dst
+}
+
+// AppendInts reads a length-prefixed int64-encoded []int slab of at most
+// max elements and appends it to dst.
+func (r *Reader) AppendInts(dst []int, max int) []int {
+	n := r.Len(8, max)
+	b := r.take(8 * n)
+	for i := 0; i < len(b); i += 8 {
+		dst = append(dst, int(int64(binary.LittleEndian.Uint64(b[i:]))))
+	}
+	return dst
 }
 
 // bufPool recycles whole-file read buffers so repeated cache loads do not

@@ -11,8 +11,7 @@ import (
 
 // TestPrimitivesRoundTrip writes one of everything and reads it back.
 func TestPrimitivesRoundTrip(t *testing.T) {
-	w := NewWriter()
-	defer PutWriter(w)
+	w := NewWriter(0)
 	w.U8(0xAB)
 	w.Bool(true)
 	w.Bool(false)
@@ -25,15 +24,15 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 	w.F64(3.14159)
 	w.String("hello")
 	w.String("")
-	w.I64s([]int64{1, -2, 3})
-	w.I64s(nil)
-	w.I32s([]int32{-1, 2})
+	PutSlab(w, []int64{1, -2, 3})
+	PutSlab(w, []int64(nil))
+	PutSlab(w, []int32{-1, 2})
 	w.Ints([]int{9, 8, 7})
 	w.Bools([]bool{true, false, true})
 	copy(w.Raw(3), []byte{1, 2, 3})
 
-	r, err := Open(w.Seal())
-	if err != nil {
+	var r Reader
+	if err := r.Open(w.Seal()); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.U8(); got != 0xAB {
@@ -63,26 +62,29 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 	if got := r.F64(); got != 3.14159 {
 		t.Fatalf("F64 = %v", got)
 	}
-	if got := r.String(); got != "hello" {
-		t.Fatalf("String = %q", got)
+	if got := string(r.Bytes()); got != "hello" {
+		t.Fatalf("Bytes = %q", got)
 	}
-	if got := r.String(); got != "" {
-		t.Fatalf("empty String = %q", got)
+	if got := r.Bytes(); len(got) != 0 {
+		t.Fatalf("empty Bytes = %q", got)
 	}
-	if got := r.I64s(); len(got) != 3 || got[1] != -2 {
-		t.Fatalf("I64s = %v", got)
+	i64s := make([]int64, 3)
+	if SlabInto(&r, i64s); i64s[1] != -2 {
+		t.Fatalf("I64sInto = %v", i64s)
 	}
-	if got := r.I64s(); got != nil {
-		t.Fatalf("nil I64s = %v", got)
+	if got := r.AppendI64s(nil, 0); len(got) != 0 {
+		t.Fatalf("empty AppendI64s = %v", got)
 	}
-	if got := r.I32s(); len(got) != 2 || got[0] != -1 {
-		t.Fatalf("I32s = %v", got)
+	if got := r.AppendI32s(nil, 2); len(got) != 2 || got[0] != -1 {
+		t.Fatalf("AppendI32s = %v", got)
 	}
-	if got := r.Ints(); len(got) != 3 || got[2] != 7 {
-		t.Fatalf("Ints = %v", got)
+	ints := make([]int, 3)
+	if r.IntsInto(ints); ints[2] != 7 {
+		t.Fatalf("IntsInto = %v", ints)
 	}
-	if got := r.Bools(); len(got) != 3 || !got[0] || got[1] {
-		t.Fatalf("Bools = %v", got)
+	bools := make([]bool, 3)
+	if r.BoolsInto(bools); !bools[0] || bools[1] || !bools[2] {
+		t.Fatalf("BoolsInto = %v", bools)
 	}
 	if got := r.Raw(3); !bytes.Equal(got, []byte{1, 2, 3}) {
 		t.Fatalf("Raw = %v", got)
@@ -103,13 +105,13 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 // can lie and checks Open rejects each one.
 func TestContainerValidation(t *testing.T) {
 	seal := func() []byte {
-		w := NewWriter()
-		defer PutWriter(w)
-		w.I64s([]int64{1, 2, 3, 4})
+		w := NewWriter(0)
+		PutSlab(w, []int64{1, 2, 3, 4})
 		w.String("payload")
 		return append([]byte(nil), w.Seal()...)
 	}
-	if _, err := Open(seal()); err != nil {
+	var r Reader
+	if err := r.Open(seal()); err != nil {
 		t.Fatalf("pristine container rejected: %v", err)
 	}
 	cases := []struct {
@@ -125,7 +127,8 @@ func TestContainerValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Open(tc.corrupt(seal()))
+			var r Reader
+			err := r.Open(tc.corrupt(seal()))
 			if err == nil {
 				t.Fatal("corrupted container accepted")
 			}
@@ -139,14 +142,13 @@ func TestContainerValidation(t *testing.T) {
 // TestSliceLenGuard feeds a payload whose length prefix claims more elements
 // than the payload holds; the reader must fail, not allocate gigabytes.
 func TestSliceLenGuard(t *testing.T) {
-	w := NewWriter()
-	defer PutWriter(w)
+	w := NewWriter(0)
 	w.U32(1 << 30) // claims 2^30 int64s = 8 GB
-	r, err := Open(w.Seal())
-	if err != nil {
+	var r Reader
+	if err := r.Open(w.Seal()); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.I64s(); got != nil {
+	if got := r.AppendI64s(nil, 1<<31); got != nil {
 		t.Fatalf("overrunning slice decoded to %d elems", len(got))
 	}
 	if r.Err() == nil {
@@ -176,7 +178,7 @@ func TestBoolRejectsJunk(t *testing.T) {
 		t.Fatal("bool byte 2 accepted")
 	}
 	r = NewReader([]byte{6, 0, 0, 0, 1, 0, 1, 0, 2, 0})
-	if r.Bools() != nil {
+	if r.BoolsInto(make([]bool, 6)); r.Err() == nil {
 		t.Fatal("bool slab with junk byte decoded")
 	}
 }
@@ -186,8 +188,7 @@ func TestBoolRejectsJunk(t *testing.T) {
 // of the released buffer.
 func TestLoadFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "x.ckpt")
-	w := NewWriter()
-	defer PutWriter(w)
+	w := NewWriter(0)
 	w.String("persisted")
 	w.I64(99)
 	if err := os.WriteFile(path, w.Seal(), 0o644); err != nil {
@@ -198,11 +199,11 @@ func TestLoadFileRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := Open(data)
-		if err != nil {
+		var r Reader
+		if err := r.Open(data); err != nil {
 			t.Fatal(err)
 		}
-		if got := r.String(); got != "persisted" {
+		if got := string(r.Bytes()); got != "persisted" {
 			t.Fatalf("round %d: %q", round, got)
 		}
 		if got := r.I64(); got != 99 {
@@ -222,8 +223,7 @@ func TestLoadFileRoundTrip(t *testing.T) {
 // the property the content-addressed warm-up cache leans on.
 func TestSealedBytesDeterministic(t *testing.T) {
 	mk := func() []byte {
-		w := NewWriter()
-		defer PutWriter(w)
+		w := NewWriter(0)
 		w.String("abc")
 		w.Ints([]int{5, 6})
 		w.F64(2.5)
@@ -231,5 +231,55 @@ func TestSealedBytesDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(mk(), mk()) {
 		t.Fatal("identical writes sealed to different bytes")
+	}
+}
+
+// TestSlabLengthMustFit checks the in-place slab readers reject a slab
+// whose length does not fit the destination — too short, too long, or over
+// the Append bound — instead of copying part of it.
+func TestSlabLengthMustFit(t *testing.T) {
+	w := NewWriter(0)
+	PutSlab(w, []int64{1, 2, 3})
+	payload := w.Bytes()[headerSize:]
+	for _, n := range []int{2, 4} {
+		r := NewReader(payload)
+		dst := make([]int64, n)
+		if SlabInto(r, dst); r.Err() == nil {
+			t.Fatalf("3-element slab accepted into %d elements", n)
+		}
+		if dst[0] != 0 {
+			t.Fatalf("rejected slab was partly copied: %v", dst)
+		}
+	}
+	r := NewReader(payload)
+	if got := r.AppendI64s(nil, 2); got != nil || r.Err() == nil {
+		t.Fatalf("3-element slab appended under a bound of 2: %v", got)
+	}
+}
+
+// TestSlabByteOrderFallback runs the element-wise path a big-endian host
+// takes and checks it encodes and decodes exactly what the bulk copy does.
+func TestSlabByteOrderFallback(t *testing.T) {
+	type state uint8
+	enc := func() []byte {
+		var w Writer
+		PutSlab(&w, []int64{-1, 1 << 40})
+		PutSlab(&w, []int32{-7, 9})
+		PutSlab(&w, []state{0, 2, 1})
+		return w.Bytes()
+	}
+	bulk := enc()
+	defer func(le bool) { hostLE = le }(hostLE)
+	hostLE = false
+	if got := enc(); !bytes.Equal(got, bulk) {
+		t.Fatalf("element-wise encoding %x, bulk %x", got, bulk)
+	}
+	r := NewReader(bulk)
+	i64s, i32s, states := make([]int64, 2), make([]int32, 2), make([]state, 3)
+	SlabInto(r, i64s)
+	SlabInto(r, i32s)
+	SlabInto(r, states)
+	if r.Err() != nil || i64s[0] != -1 || i64s[1] != 1<<40 || i32s[0] != -7 || i32s[1] != 9 || states[1] != 2 {
+		t.Fatalf("element-wise decode: %v %v %v (%v)", i64s, i32s, states, r.Err())
 	}
 }

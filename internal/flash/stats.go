@@ -42,23 +42,6 @@ func (s *Stats) note(op opKind, cause Cause, plane int, lat sim.Duration) {
 	s.PlaneOps[plane][cause]++
 }
 
-func (s *Stats) snapshot() Stats {
-	out := *s
-	out.PlaneOps = append([][numCauses]int64(nil), s.PlaneOps...)
-	out.BlockErases = append([]int32(nil), s.BlockErases...)
-	return out
-}
-
-// restoreFrom copies a snapshot's contents back into s, reusing the live
-// slices (geometry, and hence their lengths, never changes).
-func (s *Stats) restoreFrom(o Stats) {
-	s.ops = o.ops
-	s.latency = o.latency
-	copy(s.PlaneOps, o.PlaneOps)
-	copy(s.BlockErases, o.BlockErases)
-	s.WastedPages = o.WastedPages
-}
-
 func (s Stats) sum(op opKind) int64 {
 	var n int64
 	for c := Cause(0); c < numCauses; c++ {

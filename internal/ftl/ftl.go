@@ -9,6 +9,7 @@ package ftl
 import (
 	"fmt"
 
+	"dloop/internal/ckpt"
 	"dloop/internal/flash"
 	"dloop/internal/obs"
 	"dloop/internal/sim"
@@ -34,6 +35,17 @@ type FTL interface {
 	WritePage(lpn LPN, ready sim.Time) (sim.Time, error)
 	// Capacity returns the number of logical pages the FTL exports.
 	Capacity() LPN
+	// EncodeState appends every piece of mutable FTL state (mapping tables,
+	// CMT, free pools, GC trackers, log-block state) to a checkpoint.
+	// Geometry, configuration, and other construction-time constants stay
+	// out: a checkpoint only ever restores into an identically built FTL.
+	EncodeState(w *ckpt.Writer)
+	// DecodeState overwrites the FTL's state, in place, with one EncodeState
+	// wrote. A slab whose length differs from the live structure's, or an
+	// index that does not fit it, fails r; the FTL is then partly
+	// overwritten and must not serve requests until a later DecodeState
+	// succeeds.
+	DecodeState(r *ckpt.Reader)
 }
 
 // Observable is implemented by FTLs that can report internal activity (GC
@@ -43,21 +55,6 @@ type FTL interface {
 type Observable interface {
 	// SetRecorder attaches (or, with nil, detaches) the recorder.
 	SetRecorder(r obs.Recorder)
-}
-
-// Snapshotter is implemented by FTLs that support deterministic
-// checkpoint/fork. Snapshot returns an opaque deep copy of every piece of
-// mutable FTL state (mapping tables, CMT, free pools, GC trackers, log-block
-// state); Restore copies a snapshot's contents back into the receiver.
-// Snapshots never alias live state, so one snapshot taken after a shared
-// warm-up can fork any number of divergent runs, each bit-identical to a
-// fresh run. All FTLs in this repository implement it.
-type Snapshotter interface {
-	// Snapshot captures the FTL's mutable state.
-	Snapshot() any
-	// Restore rewinds the FTL to a snapshot it produced earlier. It returns
-	// an error if the snapshot came from a different scheme.
-	Restore(snap any) error
 }
 
 // Stored-page tagging. The flash device records one int64 per physical page;

@@ -1,78 +1,85 @@
 package translate
 
 import (
-	"sort"
+	"encoding/binary"
 
 	"dloop/internal/ckpt"
 	"dloop/internal/flash"
 	"dloop/internal/ftl"
 )
 
-// EncodeState appends an engine State to w: mapping table, CMT, GTD,
-// learned segments, and counters. The CMT slab goes out entry-by-entry in
-// slab order, so handles (slab indices) survive the round-trip and a
-// restored cache is bit-identical to the snapshotted one, free list and
-// recency links included.
-func EncodeState(w *ckpt.Writer, s State) {
-	encodePPNs(w, s.table)
-	encodeCacheState(w, s.cache)
-	encodePPNs(w, s.gtd)
-	w.U32(uint32(len(s.learned.segs)))
-	for _, segs := range s.learned.segs {
-		w.U32(uint32(len(segs)))
-		for _, sg := range segs {
-			w.I64(int64(sg.start))
-			w.I32(sg.lpnStride)
-			w.I32(sg.count)
-			w.I64(int64(sg.base))
-			w.I64(sg.ppnDelta)
+// Encode appends the engine's mutable state to w: mapping table, CMT, GTD,
+// learned segments, and counters. The placer and tracker pointers are
+// construction-time wiring, not state, and stay out.
+func (m *Engine) Encode(w *ckpt.Writer) {
+	ckpt.PutSlab(w, m.Table)
+	m.Cache.encode(w)
+	ckpt.PutSlab(w, m.GTD)
+	if m.li == nil {
+		w.U32(0)
+	} else {
+		w.U32(uint32(len(m.li.segs)))
+		for _, segs := range m.li.segs {
+			w.U32(uint32(len(segs)))
+			for _, sg := range segs {
+				w.I64(int64(sg.start))
+				w.I32(sg.lpnStride)
+				w.I32(sg.count)
+				w.I64(int64(sg.base))
+				w.I64(sg.ppnDelta)
+			}
 		}
 	}
-	w.I64(s.stats.Evictions)
-	w.I64(s.stats.DirtyEvictions)
-	w.I64(s.stats.TransReads)
-	w.I64(s.stats.TransWrites)
-	w.I64(s.stats.BatchCleaned)
-	w.I64(s.stats.LazyRedirects)
-	w.I64(s.stats.LearnedHits)
-	w.I64(s.stats.LearnedFalse)
+	w.I64(m.stats.Evictions)
+	w.I64(m.stats.DirtyEvictions)
+	w.I64(m.stats.TransReads)
+	w.I64(m.stats.TransWrites)
+	w.I64(m.stats.BatchCleaned)
+	w.I64(m.stats.LazyRedirects)
+	w.I64(m.stats.LearnedHits)
+	w.I64(m.stats.LearnedFalse)
 }
 
-// DecodeState reads a State written by EncodeState.
-func DecodeState(r *ckpt.Reader) State {
-	s := State{
-		table: decodePPNs(r),
-		cache: decodeCacheState(r),
-		gtd:   decodePPNs(r),
+// Decode overwrites the engine's state with one written by Encode, in place.
+// Table and GTD entries must be InvalidPPN or pages of the device, the CMT
+// must fit the live cache (see Cache.decode), and the learned index must
+// have the live one's shape with at most maxSegsPerTP well-formed segments
+// per translation page.
+func (m *Engine) Decode(r *ckpt.Reader) {
+	geo := m.dev.Geometry()
+	ckpt.SlabInto(r, m.Table)
+	ftl.CheckPPNs(r, m.Table, geo, "mapping table")
+	m.Cache.decode(r)
+	ckpt.SlabInto(r, m.GTD)
+	ftl.CheckPPNs(r, m.GTD, geo, "GTD")
+	want := 0
+	if m.li != nil {
+		want = len(m.li.segs)
 	}
-	n := r.Count(4) // per-segment-list count
-	if r.Err() != nil {
-		return State{}
+	if n := r.Count(4); n != want { // per-segment-list count
+		r.Failf("translate: %d learned segment lists, live index has %d", n, want)
+		return
 	}
-	if n > 0 {
-		s.learned.segs = make([][]segment, n)
-		for i := range s.learned.segs {
-			cnt := r.Count(32) // segment: start, stride, count, base, delta
-			if r.Err() != nil {
-				return State{}
+	for i := 0; i < want; i++ {
+		cnt := r.Len(32, maxSegsPerTP) // segment: start, stride, count, base, delta
+		segs := m.li.segs[i][:0]
+		for j := 0; j < cnt; j++ {
+			sg := segment{
+				start:     ftl.LPN(r.I64()),
+				lpnStride: r.I32(),
+				count:     r.I32(),
+				base:      flash.PPN(r.I64()),
+				ppnDelta:  r.I64(),
 			}
-			if cnt == 0 {
-				continue
+			if sg.lpnStride < 1 || sg.count < 0 {
+				r.Failf("translate: learned segment stride %d count %d", sg.lpnStride, sg.count)
+				return
 			}
-			segs := make([]segment, cnt)
-			for j := range segs {
-				segs[j] = segment{
-					start:     ftl.LPN(r.I64()),
-					lpnStride: r.I32(),
-					count:     r.I32(),
-					base:      flash.PPN(r.I64()),
-					ppnDelta:  r.I64(),
-				}
-			}
-			s.learned.segs[i] = segs
+			segs = append(segs, sg)
 		}
+		m.li.segs[i] = segs
 	}
-	s.stats = Stats{
+	m.stats = Stats{
 		Evictions:      r.I64(),
 		DirtyEvictions: r.I64(),
 		TransReads:     r.I64(),
@@ -82,42 +89,6 @@ func DecodeState(r *ckpt.Reader) State {
 		LearnedHits:    r.I64(),
 		LearnedFalse:   r.I64(),
 	}
-	return s
-}
-
-func encodePPNs(w *ckpt.Writer, s []flash.PPN) {
-	w.U32(uint32(len(s)))
-	dst := w.Raw(8 * len(s))
-	for i, v := range s {
-		u := uint64(v)
-		dst[8*i] = byte(u)
-		dst[8*i+1] = byte(u >> 8)
-		dst[8*i+2] = byte(u >> 16)
-		dst[8*i+3] = byte(u >> 24)
-		dst[8*i+4] = byte(u >> 32)
-		dst[8*i+5] = byte(u >> 40)
-		dst[8*i+6] = byte(u >> 48)
-		dst[8*i+7] = byte(u >> 56)
-	}
-}
-
-func decodePPNs(r *ckpt.Reader) []flash.PPN {
-	n := r.Count(8)
-	if r.Err() != nil || n == 0 {
-		return nil
-	}
-	raw := r.Raw(8 * n)
-	if raw == nil {
-		return nil
-	}
-	out := make([]flash.PPN, n)
-	for i := range out {
-		out[i] = flash.PPN(uint64(raw[8*i]) | uint64(raw[8*i+1])<<8 |
-			uint64(raw[8*i+2])<<16 | uint64(raw[8*i+3])<<24 |
-			uint64(raw[8*i+4])<<32 | uint64(raw[8*i+5])<<40 |
-			uint64(raw[8*i+6])<<48 | uint64(raw[8*i+7])<<56)
-	}
-	return out
 }
 
 // cache entry flag bits.
@@ -126,10 +97,13 @@ const (
 	entryProtected = 1 << 1
 )
 
-func encodeCacheState(w *ckpt.Writer, s CacheState) {
-	w.Int(s.n)
-	w.U32(uint32(len(s.slab)))
-	for _, e := range s.slab {
+// encode appends the cache to w. The slab goes out entry-by-entry in slab
+// order, so handles (slab indices) survive the round-trip and a restored
+// cache is bit-identical, free list and recency links included.
+func (c *Cache) encode(w *ckpt.Writer) {
+	w.Int(c.n)
+	w.U32(uint32(len(c.slab)))
+	for _, e := range c.slab {
 		w.I64(int64(e.lpn))
 		w.I64(int64(e.ppn))
 		var flags uint8
@@ -145,72 +119,77 @@ func encodeCacheState(w *ckpt.Writer, s CacheState) {
 		w.I32(e.dPrev)
 		w.I32(e.dNext)
 	}
-	w.I32(s.freeHead)
-	// Exactly one of the two lookup indexes is live (see Cache). The map
-	// variant is encoded sorted by LPN so equal caches encode identically.
-	w.Bool(s.dense != nil)
-	if s.dense != nil {
-		w.I32s(s.dense)
-	} else {
-		keys := make([]ftl.LPN, 0, len(s.index))
-		for k := range s.index {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		w.U32(uint32(len(keys)))
-		for _, k := range keys {
-			w.I64(int64(k))
-			w.I32(s.index[k])
-		}
-	}
-	encodeList(w, s.probation)
-	encodeList(w, s.protected)
-	w.I32s(s.tpHead)
-	w.I32s(s.tpCount)
-	w.I64(s.hits)
-	w.I64(s.misses)
+	w.I32(c.freeHead)
+	// The flag selected between the dense and map lookup indexes; the
+	// engine always builds its cache dense (NewCacheForSpace), so only
+	// that variant is ever checkpointed.
+	w.Bool(true)
+	ckpt.PutSlab(w, c.dense)
+	encodeList(w, c.probation)
+	encodeList(w, c.protected)
+	ckpt.PutSlab(w, c.tpHead)
+	ckpt.PutSlab(w, c.tpCount)
+	w.I64(c.hits)
+	w.I64(c.misses)
 }
 
-func decodeCacheState(r *ckpt.Reader) CacheState {
-	s := CacheState{n: r.Int()}
-	ns := r.Count(33) // entry: lpn, ppn, flags, four links
-	if r.Err() != nil {
-		return CacheState{}
+// decode overwrites the cache with one written by encode, in place. The slab
+// and the dense index must have the live cache's shape, and every handle
+// (recency, free-list, dirty-list, and index links) must name a slab slot,
+// every LPN a page the index covers, and every count fit the capacity.
+func (c *Cache) decode(r *ckpt.Reader) {
+	if c.n = r.Int(); c.n < 0 || c.n > c.capacity {
+		r.Failf("translate: %d cached entries in a %d-entry cache", c.n, c.capacity)
+		return
 	}
-	s.slab = make([]entry, ns)
-	for i := range s.slab {
-		e := &s.slab[i]
-		e.lpn = ftl.LPN(r.I64())
-		e.ppn = flash.PPN(r.I64())
-		flags := r.U8()
+	slots := uint32(len(c.slab))
+	handle := func(h int32) bool { return uint32(h) < slots } // negative handles wrap past slots
+	raw := r.Slab(len(c.slab), 33)                            // entry: lpn, ppn, flags, four links
+	for i := 0; i < len(raw)/33; i++ {
+		b := raw[33*i:]
+		e := &c.slab[i]
+		e.lpn = ftl.LPN(binary.LittleEndian.Uint64(b))
+		e.ppn = flash.PPN(binary.LittleEndian.Uint64(b[8:]))
+		flags := b[16]
 		e.dirty = flags&entryDirty != 0
 		e.protected = flags&entryProtected != 0
-		e.prev = r.I32()
-		e.next = r.I32()
-		e.dPrev = r.I32()
-		e.dNext = r.I32()
-	}
-	s.freeHead = r.I32()
-	if r.Bool() {
-		s.dense = r.I32s()
-	} else {
-		nk := r.Count(12) // index pair: lpn, slot
-		if r.Err() != nil {
-			return CacheState{}
-		}
-		s.index = make(map[ftl.LPN]int32, nk)
-		for i := 0; i < nk; i++ {
-			k := ftl.LPN(r.I64())
-			s.index[k] = r.I32()
+		e.prev = int32(binary.LittleEndian.Uint32(b[17:]))
+		e.next = int32(binary.LittleEndian.Uint32(b[21:]))
+		e.dPrev = int32(binary.LittleEndian.Uint32(b[25:]))
+		e.dNext = int32(binary.LittleEndian.Uint32(b[29:]))
+		if flags > entryDirty|entryProtected || e.lpn < 0 || int64(e.lpn) >= int64(len(c.dense)) ||
+			!handle(e.prev) || !handle(e.next) || !handle(e.dPrev) || !handle(e.dNext) {
+			r.Failf("translate: cache slot %d out of range", i)
+			return
 		}
 	}
-	s.probation = decodeList(r)
-	s.protected = decodeList(r)
-	s.tpHead = r.I32s()
-	s.tpCount = r.I32s()
-	s.hits = r.I64()
-	s.misses = r.I64()
-	return s
+	if c.freeHead = r.I32(); !handle(c.freeHead) {
+		r.Failf("translate: cache free list head %d", c.freeHead)
+		return
+	}
+	if !r.Bool() || c.dense == nil {
+		r.Failf("translate: checkpointed cache is not dense-indexed")
+		return
+	}
+	ckpt.SlabInto(r, c.dense)
+	for lpn, h := range c.dense {
+		if uint32(h) >= slots {
+			r.Failf("translate: cache index of lpn %d names slot %d", lpn, h)
+			return
+		}
+	}
+	c.probation = decodeList(r, int32(slots), c.capacity)
+	c.protected = decodeList(r, int32(slots), c.capacity)
+	ckpt.SlabInto(r, c.tpHead)
+	ckpt.SlabInto(r, c.tpCount)
+	for tp, h := range c.tpHead {
+		if !handle(h) || c.tpCount[tp] < 0 || int(c.tpCount[tp]) > c.capacity {
+			r.Failf("translate: dirty list of translation page %d", tp)
+			return
+		}
+	}
+	c.hits = r.I64()
+	c.misses = r.I64()
 }
 
 func encodeList(w *ckpt.Writer, l list) {
@@ -219,6 +198,11 @@ func encodeList(w *ckpt.Writer, l list) {
 	w.Int(l.n)
 }
 
-func decodeList(r *ckpt.Reader) list {
-	return list{head: r.I32(), tail: r.I32(), n: r.Int()}
+func decodeList(r *ckpt.Reader, slots int32, capacity int) list {
+	l := list{head: r.I32(), tail: r.I32(), n: r.Int()}
+	if l.head < 0 || l.head >= slots || l.tail < 0 || l.tail >= slots || l.n < 0 || l.n > capacity {
+		r.Failf("translate: recency list %+v out of range", l)
+		return list{}
+	}
+	return l
 }

@@ -7,17 +7,17 @@ import (
 	"dloop/internal/ckpt"
 )
 
-// TestDecodeStateBoundsLengthPrefix feeds DecodeState a 16-byte unchecked
-// payload: an empty table, a cache size, and a slab count of 1<<24 entries
-// (640 MiB) with no entries behind it. The count must fail the bounded
-// length read before anything is sized from it.
+// TestDecodeStateBoundsLengthPrefix feeds an engine's Decode a 4-byte
+// unchecked payload claiming a mapping table of 1<<24 entries (128 MiB)
+// with nothing behind it. The count must fail the bounded length read, and
+// nothing may be sized from it.
 func TestDecodeStateBoundsLengthPrefix(t *testing.T) {
-	payload := make([]byte, 16)
-	payload[15] = 1 // little-endian slab count 0x01000000
+	m, _, _ := newTestEngine(t, 4, PolicySLRU)
+	payload := []byte{0, 0, 0, 1} // little-endian slab count 0x01000000
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	r := ckpt.NewReader(payload)
-	DecodeState(r)
+	m.Decode(r)
 	runtime.ReadMemStats(&after)
 	if r.Err() == nil {
 		t.Fatal("truncated payload decoded without error")

@@ -1,8 +1,10 @@
 package translate
 
 import (
+	"bytes"
 	"testing"
 
+	"dloop/internal/ckpt"
 	"dloop/internal/flash"
 	"dloop/internal/ftl"
 	"dloop/internal/sim"
@@ -374,7 +376,9 @@ func TestEngineSnapshotRestore(t *testing.T) {
 			}
 			at = end
 		}
-		snap := m.Snapshot()
+		var w ckpt.Writer
+		m.Encode(&w)
+		snap := w.Bytes()
 		tableAt := append([]flash.PPN(nil), m.Table...)
 		statsAt := m.Stats()
 		segsAt := m.LearnedSegments()
@@ -392,7 +396,16 @@ func TestEngineSnapshotRestore(t *testing.T) {
 			at = end
 		}
 
-		m.Restore(snap)
+		r := ckpt.NewReader(snap)
+		m.Decode(r)
+		if err := r.Err(); err != nil {
+			t.Fatalf("%v: %v", policy, err)
+		}
+		var again ckpt.Writer
+		m.Encode(&again)
+		if !bytes.Equal(again.Bytes(), snap) {
+			t.Fatalf("%v: decoded engine re-encodes differently", policy)
+		}
 		for i, want := range tableAt {
 			if m.Table[i] != want {
 				t.Fatalf("%v: Table[%d] = %d after restore, want %d", policy, i, m.Table[i], want)

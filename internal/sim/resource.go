@@ -77,37 +77,6 @@ func (r *Resource) Reset() {
 	r.ops = 0
 }
 
-// ResourceState is an opaque deep copy of a Resource's timeline, taken by
-// Snapshot and reapplied by Restore. It never aliases live state, so one
-// snapshot can seed any number of forked runs.
-type ResourceState struct {
-	solidUntil Time
-	live       []interval
-	busyFor    Duration
-	ops        int64
-}
-
-// Snapshot captures the resource's occupied timeline and statistics.
-func (r *Resource) Snapshot() ResourceState {
-	return ResourceState{
-		solidUntil: r.solidUntil,
-		live:       append([]interval(nil), r.buf[r.head:]...),
-		busyFor:    r.busyFor,
-		ops:        r.ops,
-	}
-}
-
-// Restore rewinds the resource to a snapshot, reusing the backing array so
-// repeated forks stay allocation-free once the high-water capacity is
-// reached.
-func (r *Resource) Restore(s ResourceState) {
-	r.solidUntil = s.solidUntil
-	r.buf = append(r.buf[:0], s.live...)
-	r.head = 0
-	r.busyFor = s.busyFor
-	r.ops = s.ops
-}
-
 // fitFrom returns the earliest start >= ready at which a duration d fits
 // into r's gaps. Operations are near-monotone in time, so the overwhelmingly
 // common case — the request lands at or after the end of the timeline — is

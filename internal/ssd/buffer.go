@@ -107,38 +107,3 @@ func (b *writeBuffer) flushAll(f ftl.FTL, at sim.Time) (sim.Time, error) {
 
 // Len returns the number of dirty buffered pages.
 func (b *writeBuffer) Len() int { return len(b.dirty) }
-
-// bufferState is a deep copy of the buffer's contents, for checkpoint/fork.
-type bufferState struct {
-	dirty                 map[ftl.LPN]int
-	seq                   int
-	order                 []ftl.LPN
-	hitsW, hitsR, flushes int64
-}
-
-func (b *writeBuffer) snapshot() *bufferState {
-	s := &bufferState{
-		dirty:   make(map[ftl.LPN]int, len(b.dirty)),
-		seq:     b.seq,
-		order:   append([]ftl.LPN(nil), b.order...),
-		hitsW:   b.hitsW,
-		hitsR:   b.hitsR,
-		flushes: b.flushes,
-	}
-	for k, v := range b.dirty {
-		s.dirty[k] = v
-	}
-	return s
-}
-
-func (b *writeBuffer) restore(s *bufferState) {
-	b.dirty = make(map[ftl.LPN]int, len(s.dirty))
-	for k, v := range s.dirty {
-		b.dirty[k] = v
-	}
-	b.seq = s.seq
-	b.order = append(b.order[:0], s.order...)
-	b.hitsW = s.hitsW
-	b.hitsR = s.hitsR
-	b.flushes = s.flushes
-}

@@ -1,10 +1,12 @@
 package ssd
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
 
+	"dloop/internal/ckpt"
 	"dloop/internal/flash"
 	"dloop/internal/ftl"
 	"dloop/internal/ftl/bast"
@@ -31,6 +33,13 @@ type Controller struct {
 	dev *flash.Device
 	f   ftl.FTL
 	cfg Config
+	// digest caches ConfigDigest(cfg) once a checkpoint first needs it:
+	// every checkpoint embeds it and every Restore checks it.
+	digest    [sha256.Size]byte
+	hasDigest bool
+	// rd decodes checkpoints in Restore; kept here so restoring does not
+	// allocate a reader.
+	rd ckpt.Reader
 
 	// fe, when non-nil, is the multi-queue front end over N concurrent FTL
 	// shards (see frontend.go).

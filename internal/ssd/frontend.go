@@ -131,12 +131,6 @@ type shardAcc struct {
 	served                    int64
 }
 
-func (a *shardAcc) clone() shardAcc {
-	out := *a
-	out.hist = a.hist.Clone()
-	return out
-}
-
 // feEpoch is one stage of the front end's two-deep completion pipeline: a
 // future slab plus the requests parked against it. While the shards execute
 // the current epoch's commands, the host folds the previous epoch's — those
@@ -1094,52 +1088,6 @@ func (fe *frontEnd) resetMeasurement() {
 		sh.dev.ResetStats()
 		sh.acc = shardAcc{}
 	}
-}
-
-// feCheckpoint is the per-shard portion of a front-end controller's
-// Checkpoint: one device state, FTL state, and relaxed-merge accumulator per
-// shard.
-type feCheckpoint struct {
-	devs []*flash.DeviceState
-	ftls []any
-	accs []shardAcc
-}
-
-// snapshot deep-copies every shard's state after a barrier.
-func (fe *frontEnd) snapshot(c *Controller) (*feCheckpoint, error) {
-	fe.flush(c)
-	cp := &feCheckpoint{}
-	for _, sh := range fe.shards {
-		snapper, ok := sh.f.(ftl.Snapshotter)
-		if !ok {
-			return nil, fmt.Errorf("ssd: FTL %s does not support checkpointing", sh.f.Name())
-		}
-		cp.devs = append(cp.devs, sh.dev.Snapshot())
-		cp.ftls = append(cp.ftls, snapper.Snapshot())
-		cp.accs = append(cp.accs, sh.acc.clone())
-	}
-	return cp, nil
-}
-
-// restore rewinds every shard to a checkpoint taken from an identically
-// configured front end.
-func (fe *frontEnd) restore(c *Controller, cp *feCheckpoint) error {
-	if cp == nil || len(cp.devs) != len(fe.shards) {
-		return fmt.Errorf("ssd: checkpoint does not match this controller's %d FTL shards", len(fe.shards))
-	}
-	fe.discard() // in-flight work belongs to the run being abandoned
-	for i, sh := range fe.shards {
-		snapper, ok := sh.f.(ftl.Snapshotter)
-		if !ok {
-			return fmt.Errorf("ssd: FTL %s does not support checkpointing", sh.f.Name())
-		}
-		if err := snapper.Restore(cp.ftls[i]); err != nil {
-			return err
-		}
-		sh.dev.Restore(cp.devs[i])
-		sh.acc = cp.accs[i].clone()
-	}
-	return nil
 }
 
 // recoverShards rebuilds every shard's FTL from its sub-device's out-of-band

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"dloop/internal/ckpt"
 	"dloop/internal/flash"
 	"dloop/internal/ftl"
 	"dloop/internal/ftl/bast"
@@ -33,6 +34,15 @@ func tiny8Geometry() flash.Geometry {
 		PagesPerBlock:      8,
 		PageSize:           2048,
 	}
+}
+
+// deviceState returns a device's complete mutable state — page and block
+// state, resource timelines, statistics — in its checkpoint encoding, for
+// comparing two devices byte for byte.
+func deviceState(d *flash.Device) []byte {
+	var w ckpt.Writer
+	d.Encode(&w)
+	return w.Bytes()
 }
 
 func mqConfig(scheme string, geo flash.Geometry, ftlShards int, merge string) Config {
@@ -169,7 +179,7 @@ func TestMQDifferential(t *testing.T) {
 							}
 						}
 						for i := 0; i < sp.shards; i++ {
-							if !reflect.DeepEqual(ser.ShardDevice(i).Snapshot(), par.ShardDevice(i).Snapshot()) {
+							if !bytes.Equal(deviceState(ser.ShardDevice(i)), deviceState(par.ShardDevice(i))) {
 								t.Fatalf("shard %d device state diverged", i)
 							}
 						}
@@ -410,7 +420,7 @@ func TestShardedDifferential(t *testing.T) {
 					}
 				}
 				for i := 0; i < one.FTLShards(); i++ {
-					if !reflect.DeepEqual(one.ShardDevice(i).Snapshot(), bat.ShardDevice(i).Snapshot()) {
+					if !bytes.Equal(deviceState(one.ShardDevice(i)), deviceState(bat.ShardDevice(i))) {
 						t.Fatalf("seed %d: shard %d device state (timelines/stats) diverged", seed, i)
 					}
 				}

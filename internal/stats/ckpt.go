@@ -5,9 +5,9 @@ import (
 	"dloop/internal/sim"
 )
 
-// EncodeWelford appends a Welford accumulator to w. Floats travel as IEEE
-// bit patterns, so a round-trip reproduces running means bit-exactly.
-func EncodeWelford(w *ckpt.Writer, s Welford) {
+// Encode appends the accumulator to w. Floats travel as IEEE bit patterns,
+// so a round-trip reproduces running means bit-exactly.
+func (s *Welford) Encode(w *ckpt.Writer) {
 	w.I64(s.n)
 	w.F64(s.mean)
 	w.F64(s.m2)
@@ -15,35 +15,34 @@ func EncodeWelford(w *ckpt.Writer, s Welford) {
 	w.F64(s.max)
 }
 
-// DecodeWelford reads a Welford written by EncodeWelford.
-func DecodeWelford(r *ckpt.Reader) Welford {
-	return Welford{n: r.I64(), mean: r.F64(), m2: r.F64(), min: r.F64(), max: r.F64()}
+// Decode overwrites the accumulator with one written by Encode.
+func (s *Welford) Decode(r *ckpt.Reader) {
+	*s = Welford{n: r.I64(), mean: r.F64(), m2: r.F64(), min: r.F64(), max: r.F64()}
 }
 
-// EncodeLatencyHist appends a LatencyHist to w, preserving the nil/non-nil
-// state of the bucket slice so re-encoding a restored histogram is
-// byte-identical.
-func EncodeLatencyHist(w *ckpt.Writer, h LatencyHist) {
+// Encode appends the histogram to w, preserving the nil/non-nil state of the
+// bucket slice so re-encoding a restored histogram is byte-identical.
+func (h *LatencyHist) Encode(w *ckpt.Writer) {
 	w.Bool(h.counts != nil)
 	if h.counts != nil {
-		w.I64s(h.counts)
+		ckpt.PutSlab(w, h.counts)
 	}
 	w.I64(h.total)
 }
 
-// DecodeLatencyHist reads a LatencyHist written by EncodeLatencyHist.
-func DecodeLatencyHist(r *ckpt.Reader) LatencyHist {
-	var h LatencyHist
+// Decode overwrites the histogram with one written by Encode, reusing the
+// live bucket slice when there is one. A non-nil histogram always has
+// histMaxBuckets buckets, so any other slab length fails r.
+func (h *LatencyHist) Decode(r *ckpt.Reader) {
 	if r.Bool() {
-		h.counts = r.I64s()
-		if h.counts == nil && r.Err() == nil {
-			// A non-nil histogram always has histMaxBuckets buckets; an empty
-			// slab here means the writer and this reader disagree.
-			h.counts = make([]int64, 0)
+		if h.counts == nil {
+			h.counts = make([]int64, histMaxBuckets)
 		}
+		ckpt.SlabInto(r, h.counts)
+	} else {
+		h.counts = nil
 	}
 	h.total = r.I64()
-	return h
 }
 
 // EncodeTimeSeries appends a possibly-nil TimeSeries to w.
@@ -54,27 +53,30 @@ func EncodeTimeSeries(w *ckpt.Writer, ts *TimeSeries) {
 	}
 	w.I64(int64(ts.bucket))
 	w.U32(uint32(len(ts.buckets)))
-	for _, b := range ts.buckets {
-		EncodeWelford(w, b)
+	for i := range ts.buckets {
+		ts.buckets[i].Encode(w)
 	}
 }
 
-// DecodeTimeSeries reads a TimeSeries written by EncodeTimeSeries, returning
-// nil when none was encoded.
-func DecodeTimeSeries(r *ckpt.Reader) *TimeSeries {
+// DecodeTimeSeries reads a series written by EncodeTimeSeries into ts,
+// reusing its buckets, and returns it; it returns nil when none was encoded
+// and a new series when ts is nil. A non-positive bucket width fails r.
+func DecodeTimeSeries(r *ckpt.Reader, ts *TimeSeries) *TimeSeries {
 	if !r.Bool() {
 		return nil
 	}
-	ts := &TimeSeries{bucket: sim.Duration(r.I64())}
-	n := r.Count(40) // Welford: five 8-byte fields
-	if r.Err() != nil {
-		return nil
+	if ts == nil {
+		ts = &TimeSeries{}
 	}
-	if n > 0 {
-		ts.buckets = make([]Welford, n)
-		for i := range ts.buckets {
-			ts.buckets[i] = DecodeWelford(r)
-		}
+	ts.bucket = sim.Duration(r.I64())
+	if ts.bucket <= 0 && r.Err() == nil {
+		r.Failf("stats: time series bucket width %v", ts.bucket)
+	}
+	n := r.Count(40) // Welford: five 8-byte fields
+	ts.buckets = ts.buckets[:0]
+	for i := 0; i < n; i++ {
+		ts.buckets = append(ts.buckets, Welford{})
+		ts.buckets[i].Decode(r)
 	}
 	return ts
 }

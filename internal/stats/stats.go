@@ -154,8 +154,8 @@ func (h *LatencyHist) Add(d sim.Duration) {
 // N returns the number of recorded samples.
 func (h *LatencyHist) N() int64 { return h.total }
 
-// Clone returns an independent deep copy of the histogram; the checkpoint
-// machinery needs one because the bucket slice is unexported.
+// Clone returns an independent deep copy of the histogram; callers outside
+// the package need one because the bucket slice is unexported.
 func (h *LatencyHist) Clone() LatencyHist {
 	out := LatencyHist{total: h.total}
 	if h.counts != nil {
