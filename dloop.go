@@ -87,17 +87,6 @@ const (
 // channels; smaller shapes keep the single-FTL engine, which is faster there.
 const AutoShards = ssd.AutoShards
 
-// Completion-merge modes for Config.Merge (used when Config.FTLShards > 1):
-// deterministic folds completions in arrival order, so results are
-// bit-reproducible run to run and against in-order execution of the same
-// shard layout; relaxed folds on the shard workers and merges per-shard
-// accumulators, trading bit-stable running means for less host-side work
-// (counters, histograms, and percentiles still merge exactly).
-const (
-	MergeDeterministic = ssd.MergeDeterministic
-	MergeRelaxed       = ssd.MergeRelaxed
-)
-
 // Request directions.
 const (
 	OpRead  = trace.OpRead

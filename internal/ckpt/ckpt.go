@@ -35,7 +35,7 @@ const (
 	// Version is the container format version. Bump it whenever any encoded
 	// layout changes; readers reject other versions and the warm-up cache
 	// falls back to fresh simulation.
-	Version = 1
+	Version = 2
 	// headerSize is magic(4) + version(u32) + payload length(u64) +
 	// payload crc32(u32) + reserved(u32).
 	headerSize = 4 + 4 + 8 + 4 + 4

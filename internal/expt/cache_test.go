@@ -41,6 +41,11 @@ func TestWarmupKeyCoalescesAndSplits(t *testing.T) {
 	if WarmupKey(defaulted, fp) != key {
 		t.Fatal("zero FTL and explicit default split the key")
 	}
+	defaulted = base
+	defaulted.Merge = ssd.MergeDeterministic
+	if WarmupKey(defaulted, fp) != key {
+		t.Fatal("zero Merge and its only mode split the key")
+	}
 
 	if WarmupKey(base, fp+1) == key {
 		t.Fatal("footprint change did not split the key")

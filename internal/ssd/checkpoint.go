@@ -22,8 +22,8 @@ import (
 // each bit-identical to an uninterrupted fresh run of the same cell.
 //
 // Layout: scheme name, ConfigDigest, geometry, then the single-FTL device
-// and FTL state or, on a front-end controller, one device/FTL/accumulator
-// triple per shard, then the controller's accumulators and write buffer.
+// and FTL state or, on a front-end controller, one device/FTL pair per
+// shard, then the controller's accumulators and write buffer.
 //
 // The attached observability recorder is deliberately NOT part of the
 // checkpoint: recorders are per-cell plumbing, attached after a restore and
@@ -54,7 +54,6 @@ func (c *Controller) Snapshot() (Checkpoint, error) {
 		for _, sh := range c.fe.shards {
 			sh.dev.Encode(w)
 			sh.f.EncodeState(w)
-			sh.acc.encode(w)
 		}
 	} else {
 		c.dev.Encode(w)
@@ -125,7 +124,6 @@ func (c *Controller) Restore(cp Checkpoint) error {
 		for _, sh := range c.fe.shards {
 			sh.dev.Decode(r)
 			sh.f.DecodeState(r)
-			sh.acc.decode(r)
 		}
 	} else {
 		c.dev.Decode(r)
@@ -184,24 +182,6 @@ func decodeGeometry(r *ckpt.Reader) flash.Geometry {
 		PagesPerBlock:      r.Int(),
 		PageSize:           r.Int(),
 	}
-}
-
-func (a *shardAcc) encode(w *ckpt.Writer) {
-	a.resp.Encode(w)
-	a.readResp.Encode(w)
-	a.writeResp.Encode(w)
-	a.hist.Encode(w)
-	w.I64(int64(a.lastDone))
-	w.I64(a.served)
-}
-
-func (a *shardAcc) decode(r *ckpt.Reader) {
-	a.resp.Decode(r)
-	a.readResp.Decode(r)
-	a.writeResp.Decode(r)
-	a.hist.Decode(r)
-	a.lastDone = sim.Time(r.I64())
-	a.served = r.I64()
 }
 
 // encode writes the DRAM write buffer's state with the dirty map in sorted

@@ -28,32 +28,32 @@ func TestCheckpointFormatDigest(t *testing.T) {
 		want   [2]string // preconditioned, then after 800 requests
 	}{
 		{"DLOOP", tinyConfig(SchemeDLOOP), false, [2]string{
-			"658da792121e495d4bd19b7e105d3a1fd4c5cb6b51ee12e530a85b94d5951998",
-			"f7c9083a863907ec59774827b709602d51a4a97b20734760541cb20d178ea35d"}},
+			"7ceec0aa2f53ff83f85cebcd093c98df7ec12182944ceb5d7b564d7ceaf62035",
+			"9b4eab3ee34e055486c53346a827f55eeb8ac61a1c0dc521dc565ca6bf5d71df"}},
 		{"DFTL", tinyConfig(SchemeDFTL), false, [2]string{
-			"fafa383ec6e0792cdc601912828af8338aa5bfd13e8f86789d6561d2277c1135",
-			"ad71efe154863b4de0ab34a4641afbb3cf829978bbcfa567baea4882d397a7aa"}},
+			"d6e3e29edd376e4dc47b8febc7e753bb667c886e3f925253764817f2c3fa44ec",
+			"7cd97a929915b21bc9baf345d74710a641f9da3a0d64e91606c00c0a528cb184"}},
 		{"FAST", tinyConfig(SchemeFAST), false, [2]string{
-			"17eef24fe296a48acd1fcac78ba25f00a3266e28aa64939826b923e9baa0e049",
-			"a53c05d91d91524a1363c89fbdcfe6923518a34b8b5d7c43df38edb6801690ed"}},
+			"b0031562cb563395af8de47bce71d53198722bc3b5a5ad6ddaa42a9d405a984a",
+			"e2dc139889dee1f03ee01af537cb97c005e3b30896623e3df6a3edabd41e8696"}},
 		{"BAST", tinyConfig(SchemeBAST), false, [2]string{
-			"3f44267c8ba607344704e0c6c2b38d929982fbd8d05beae7cf1515c4799a05f1",
-			"688a11d4571419fdc1b6d9e5002f8a1c6f6930dbd8fa9e1147569cd370276243"}},
+			"1378441e44185c74b78735571118cbfea0f53be039b36daf08cecb828152dbd9",
+			"ffe763de713014e39d0df392da05ee857a7a1e5ce165c65cf377e007278c50ce"}},
 		{"PureMap", tinyConfig(SchemePureMap), false, [2]string{
-			"27a5866fe97ac7a4ce8e6aa82cbb7c3aebe5236f832af680051c557826bb1ff0",
-			"0ca6d5ba8203493448b9c52a74af9ddac253a0c9059afbbbe5162ab5551020da"}},
+			"c3960ff7d38060e580fb29f5bed6a96f42b043767d5b59f4f486d0f8d7fcb28e",
+			"ca329299fe1d40efd19fae55f65594a5e38e3fa2b83a6cca8b479848fb27db1b"}},
 		{"PureMap-striped", tinyConfig(SchemePureMapStriped), false, [2]string{
-			"fc66e080b79d5cef521f5e91faa31c3853f510de197505d46dc5e12a9158d337",
-			"5bae2166e4ff200e6ec9d3f43c18da7940cae9f647e2304585ce07310e5885a2"}},
+			"469dd26d1c4a4aa2660e7e7d1c8ff6c4802e80eec3acb08901b2af647ccb9713",
+			"20d8fae19c3684ac9e3b67412dc3f0e3ca2fdb480adf3870b3b7a5ed4896129e"}},
 		{"DLOOP-learned", learned, false, [2]string{
-			"0a0414b0b2f0daba39fd1f48d06f7f41628c113aec71a078cef54855187aa79d",
-			"98cc45cdf6d51248d1d312f8527274635d92b7a1bb6c33718b5457748683fa23"}},
-		{"DLOOP-mq2", mqConfig(SchemeDLOOP, tiny8Geometry(), 2, ""), false, [2]string{
-			"cf0a333ed9241911392996fced9766100dc3f71481a8d27fa339a5ece418fa58",
-			"b16a3d78cfeec9b322110835e50a29985122118f1a813a0b73a4442c99f5a76a"}},
+			"065d783288e274ab307bdf7f92e1c419f7708661d4a787a68e594c0c7e78a898",
+			"e319689e88a3a8b0e49c6125aa0df864d82cf8d09a95ee025a60234e0f89e397"}},
+		{"DLOOP-mq2", mqConfig(SchemeDLOOP, tiny8Geometry(), 2), false, [2]string{
+			"336b39de6ef8190490a27a56568b3a892b32f1ff85c071f639d5e846a49f741f",
+			"516f4b4636fda9e78f09a1d8bebb97ebe5cfb312eaf0273b0812af111b538a90"}},
 		{"DLOOP-buffer-series", buffered, true, [2]string{
-			"16e4d50b68766da6573d9ba4f8e03e075d6fce600b30fe952158b3f299283c75",
-			"a1b7f253a3ed3b469ae94ce1eb03d639590e8e34595da099a64a1751cbe601b1"}},
+			"24826e12074766ca095f20aba149f8609754747f81f5e2939fef1f7cc2af6848",
+			"74f95be29129eb0ba522c0af09153b24ba421257533df7635a93bf09e200a35d"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -62,7 +62,7 @@ func TestEncodedCheckpointRoundTrip(t *testing.T) {
 func TestEncodedCheckpointRoundTripMQ(t *testing.T) {
 	for _, scheme := range []string{SchemeDLOOP, SchemeFAST} {
 		t.Run(scheme, func(t *testing.T) {
-			cfg := mqConfig(scheme, tiny8Geometry(), 2, "")
+			cfg := mqConfig(scheme, tiny8Geometry(), 2)
 			fresh := buildMQ(t, cfg)
 			preconditionTiny(t, fresh)
 			w := tinyWorkload(t, fresh, 1500, 33)
@@ -271,7 +271,7 @@ func TestRestoreRejectsBadPageTag(t *testing.T) {
 func TestRestoreAllocFree(t *testing.T) {
 	for _, cfg := range []Config{
 		tinyConfig(SchemeDLOOP),
-		mqConfig(SchemeDLOOP, tiny8Geometry(), 2, ""),
+		mqConfig(SchemeDLOOP, tiny8Geometry(), 2),
 	} {
 		c, err := Build(cfg)
 		if err != nil {

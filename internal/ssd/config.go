@@ -95,29 +95,11 @@ type Config struct {
 	// epoch barriers); any other recorder forces serial in-order execution
 	// while attached. Incompatible with BufferPages.
 	FTLShards int
-	// Merge selects how per-shard completions merge into response-time
-	// statistics when FTLShards > 1: MergeDeterministic (the default, "")
-	// folds at epoch barriers in arrival order, bit-identical to serial
-	// in-order execution of the same shard layout; MergeRelaxed folds
-	// single-page requests on the shard workers, trading the bit-exact
-	// floating-point accumulation order for less host-side work (histograms
-	// and counters still merge exactly).
+	// Merge names the completion-merge mode when FTLShards > 1. The only
+	// mode is MergeDeterministic (also selected by ""): completions fold on
+	// the host in arrival order, bit-identical to serial in-order execution
+	// of the same shard layout. Build rejects any other value.
 	Merge string
-	// EpochPages bounds one pipeline epoch on the multi-queue front end:
-	// after this many parked page completions the host hands the epoch to
-	// the shards and folds the previous epoch's completions while they
-	// execute (see frontend.go). 0 selects the default (4096). Results are
-	// bit-identical across epoch lengths in deterministic merge mode; the
-	// knob trades fold granularity against slab footprint. Exposed as
-	// -epoch-pages in the commands.
-	EpochPages int
-	// PipelineDepth selects the multi-queue front end's epoch pipelining:
-	// 2 (the default for 0) double-buffers the completion slabs so the host
-	// folds epoch K while the shards execute epoch K+1; 1 restores the
-	// stop-the-world barrier at every epoch close (the pre-pipeline
-	// behavior, kept for comparison and tests). Results are bit-identical
-	// either way.
-	PipelineDepth int
 
 	// Geometry, when non-nil, overrides the capacity-derived geometry
 	// entirely (tests use miniature devices).
@@ -144,6 +126,9 @@ func (c *Config) setDefaults() {
 	}
 	if c.GCThreshold == 0 {
 		c.GCThreshold = 3
+	}
+	if c.Merge == "" {
+		c.Merge = MergeDeterministic
 	}
 }
 
@@ -342,16 +327,8 @@ func Build(cfg Config) (*Controller, error) {
 			return nil, fmt.Errorf("ssd: translate policy %q needs a demand-paged scheme (DLOOP or DFTL), not %s", p, cfg.FTL)
 		}
 	}
-	switch cfg.Merge {
-	case "", MergeDeterministic, MergeRelaxed:
-	default:
-		return nil, fmt.Errorf("ssd: unknown merge mode %q (want %q or %q)", cfg.Merge, MergeDeterministic, MergeRelaxed)
-	}
-	if cfg.PipelineDepth < 0 || cfg.PipelineDepth > 2 {
-		return nil, fmt.Errorf("ssd: pipeline depth %d out of range (want 1 or 2)", cfg.PipelineDepth)
-	}
-	if cfg.EpochPages < 0 {
-		return nil, fmt.Errorf("ssd: negative EpochPages %d", cfg.EpochPages)
+	if cfg.Merge != MergeDeterministic {
+		return nil, fmt.Errorf("ssd: unsupported merge mode %q: relaxed merge was removed, only %q remains", cfg.Merge, MergeDeterministic)
 	}
 	geo, extra, err := resolveGeometry(cfg)
 	if err != nil {

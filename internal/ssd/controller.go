@@ -332,7 +332,7 @@ func (c *Controller) ResetMeasurement() {
 // pipelines many requests per barrier.
 func (c *Controller) Serve(r trace.Request) (sim.Duration, error) {
 	if c.fe != nil {
-		if err := c.fe.enqueue(c, r, false); err != nil {
+		if err := c.fe.enqueue(c, r); err != nil {
 			return 0, err
 		}
 		c.Flush()
@@ -438,13 +438,13 @@ func (c *Controller) Close() {
 
 // Enqueue serves one request on the pipelined path: on the multi-queue
 // engine FTL decisions run on the shard workers and timing resolves at the
-// next epoch fold. Epoch handoffs are automatic — every Config.EpochPages
-// parked pages, and implicitly in every statistics reader — so callers may
-// Enqueue indefinitely. On a single-FTL controller it is Serve with the
+// next epoch fold. Epoch handoffs are automatic — every 4096 parked pages,
+// and implicitly in every statistics reader — so callers may Enqueue
+// indefinitely. On a single-FTL controller it is Serve with the
 // response time discarded.
 func (c *Controller) Enqueue(r trace.Request) error {
 	if c.fe != nil {
-		if err := c.fe.enqueue(c, r, true); err != nil {
+		if err := c.fe.enqueue(c, r); err != nil {
 			return err
 		}
 		c.fe.maybeAdvance(c)

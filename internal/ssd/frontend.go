@@ -41,24 +41,16 @@ import (
 // so the stop-the-world barrier survives only at true quiescent points
 // (statistics readers, checkpoints, recorder switches).
 //
-// Two completion-merge modes:
-//
-//   - MergeDeterministic (default): every request's completion is parked and
-//     folded into the response-time accumulators at the epoch barrier in
-//     arrival order — the same order, and therefore the same floating-point
-//     sequence, as serial execution of the same shard layout. Results are
-//     bit-identical run to run and to in-order execution of the same
-//     configuration, which is what the differential suite pins.
-//   - MergeRelaxed: workers fold single-page requests' latencies into
-//     per-shard accumulators as they complete; Result merges the per-shard
-//     accumulators in shard order. Histograms and counters merge exactly;
-//     Welford means/variances differ from deterministic mode only in
-//     floating-point rounding. Still deterministic run to run.
+// Every request's completion is parked and folded into the response-time
+// accumulators on the host in arrival order — the same order, and therefore
+// the same floating-point sequence, as serial execution of the same shard
+// layout. Results are bit-identical run to run and to in-order execution of
+// the same configuration, which is what the differential suite pins.
 //
 // An FTLShards=N device is a different device organization than FTLShards=1
 // (placement depends on per-shard write order, like striping across N
-// sub-drives in RAID 0), so results are comparable across merge modes and
-// worker schedules at fixed N, not across N.
+// sub-drives in RAID 0), so results are comparable across worker schedules
+// at fixed N, not across N.
 //
 // Serial execution mode (frontEnd.serial) runs the same shard partitioning
 // inline on the host goroutine in dispatch order. It is the baseline the
@@ -73,11 +65,9 @@ import (
 // semantics, so they keep the old contract: serial execution with a
 // translating per-shard wrapper.
 
-// Completion-merge modes for Config.Merge.
-const (
-	MergeDeterministic = "deterministic"
-	MergeRelaxed       = "relaxed"
-)
+// MergeDeterministic is the one completion-merge mode Config.Merge accepts
+// (as does ""): completions fold on the host in arrival order.
+const MergeDeterministic = "deterministic"
 
 // autoShardMinChannels is the smallest channel count on which AutoShards
 // engages the multi-queue front end. Below it the per-request shard overhead
@@ -91,14 +81,11 @@ const autoShardMinChannels = 8
 // for any value.
 const doorbellBatch = 64
 
-// defaultEpochPages is the default for Config.EpochPages: how many parked
-// page completions close a pipeline epoch. Large enough to amortize the
-// handoff, small enough that two in-flight epochs stay cache-resident.
-const defaultEpochPages = 4096
-
-// maxEpochPages caps Config.EpochPages well below a FutureSlab's 2^26
+// defaultEpochPages is how many parked page completions close a pipeline
+// epoch. Large enough to amortize the handoff, small enough that two
+// in-flight epochs stay cache-resident, and far below a FutureSlab's 2^26
 // slots so an epoch can never overflow its completion slab.
-const maxEpochPages = 1 << 22
+const defaultEpochPages = 4096
 
 // feQueueCap bounds each shard's submission ring. Epoch flushes keep
 // occupancy far below this; the cap is backpressure against a runaway
@@ -118,17 +105,8 @@ type pendingDone struct {
 type pageCmd struct {
 	lpn     int64    // shard-local logical page
 	arrival sim.Time // request arrival (the response-time origin)
-	slot    int32    // slab slot<<1 | epoch-buffer parity; -1 = fold on the worker
+	slot    int32    // slab slot<<1 | epoch-buffer parity
 	read    bool
-}
-
-// shardAcc is the per-shard response-time accumulator the relaxed merge mode
-// folds into on the worker. Deterministic mode leaves it empty.
-type shardAcc struct {
-	resp, readResp, writeResp stats.Welford
-	hist                      stats.LatencyHist
-	lastDone                  sim.Time
-	served                    int64
 }
 
 // feEpoch is one stage of the front end's two-deep completion pipeline: a
@@ -140,17 +118,15 @@ type shardAcc struct {
 // exactly one worker resolves each slot, and the host reads slots back only
 // while folding, after which no live handle survives into the recycled slab.
 type feEpoch struct {
-	slab  sim.FutureSlab
-	pend  []pendingDone // parked requests, in arrival order
-	ends  []sim.Time    // per-page completion times or future handles
-	pages int           // page commands dispatched into this epoch
+	slab sim.FutureSlab
+	pend []pendingDone // parked requests, in arrival order
+	ends []sim.Time    // per-page completion times or future handles
 }
 
 func (ep *feEpoch) reset() {
 	ep.pend = ep.pend[:0]
 	ep.ends = ep.ends[:0]
 	ep.slab.Reset()
-	ep.pages = 0
 }
 
 // dispReq is one classified request in the batch dispatch stage: validated,
@@ -176,12 +152,9 @@ type ftlShard struct {
 	chipMap  []int32
 	chanMap  []int32
 
-	// acc is written by the worker (relaxed merge) and read by the host only
-	// after a quiescence barrier, which orders the accesses.
-	acc shardAcc
 	// mqLat, when a collector is attached, is the shard child's "mq.lat"
-	// submission→completion histogram; the worker observes into it, and like
-	// acc the host reads it only behind a quiescence barrier.
+	// submission→completion histogram; the worker observes into it, and the
+	// host reads it only behind a quiescence barrier.
 	mqLat *obs.Hist
 	// err is the first execution error, latched by the worker and surfaced
 	// by the host at the next barrier.
@@ -198,7 +171,6 @@ type frontEnd struct {
 	cap    ftl.LPN        // total exported pages (sum of shard capacities)
 	subCap ftl.LPN        // exported pages per shard
 
-	relaxed bool
 	// serial executes page operations inline on the host goroutine in
 	// dispatch order instead of routing them through the rings. Forced by an
 	// attached recorder and by Close; the differential tests use it as the
@@ -209,15 +181,12 @@ type frontEnd struct {
 
 	// epochs double-buffers the completion pipeline (see feEpoch): cur is
 	// the epoch being filled, 1-cur the previous epoch, whose completions
-	// fold while the shards execute. With depth 1 the pipeline degenerates
-	// to the old stop-the-world barrier at every epoch close.
+	// fold while the shards execute.
 	epochs [2]feEpoch
 	cur    int
 
-	// epochPages and depth are the resolved Config tunables (EpochPages,
-	// PipelineDepth).
+	// epochPages is the epoch length, defaultEpochPages outside tests.
 	epochPages int
-	depth      int
 
 	// shardMask/shardShift route pages to shards without integer division
 	// when the shard count is a power of two (channel counts almost always
@@ -302,12 +271,8 @@ func newFrontEnd(geo flash.Geometry, timing flash.Timing, n int, cfg Config,
 	}
 	subGeo := geo
 	subGeo.Channels = geo.Channels / n
-	fe := &frontEnd{
-		n:       int64(n),
-		geo:     geo,
-		relaxed: cfg.Merge == MergeRelaxed,
-	}
-	fe.initTunables(cfg)
+	fe := &frontEnd{n: int64(n), geo: geo, epochPages: defaultEpochPages}
+	fe.initRoute()
 	for s := 0; s < n; s++ {
 		dev, err := flash.NewDevice(subGeo, timing)
 		if err != nil {
@@ -336,20 +301,8 @@ func newFrontEnd(geo flash.Geometry, timing flash.Timing, n int, cfg Config,
 	return fe, nil
 }
 
-// initTunables resolves the pipeline knobs from cfg (zero values select the
-// defaults) and precomputes the division-free shard route.
-func (fe *frontEnd) initTunables(cfg Config) {
-	fe.epochPages = cfg.EpochPages
-	if fe.epochPages <= 0 {
-		fe.epochPages = defaultEpochPages
-	}
-	if fe.epochPages > maxEpochPages {
-		fe.epochPages = maxEpochPages
-	}
-	fe.depth = cfg.PipelineDepth
-	if fe.depth <= 0 {
-		fe.depth = 2
-	}
+// initRoute precomputes the division-free shard route.
+func (fe *frontEnd) initRoute() {
 	if fe.n&(fe.n-1) == 0 {
 		fe.shardPow2 = true
 		fe.shardMask = fe.n - 1
@@ -444,53 +397,30 @@ func (fe *frontEnd) worker(sh *ftlShard) {
 	}
 }
 
-// exec runs one page command against the shard's FTL. After an error the
-// shard keeps consuming commands without executing them (resolving their
-// slots so the host never blocks); the host surfaces the latched error at
-// the next barrier. A command's slot carries the epoch-buffer parity in its
-// low bit, naming which of the two in-flight slabs owns the completion.
+// exec runs one page command against the shard's FTL and resolves its
+// completion slot. After an error the shard keeps consuming commands without
+// executing them (resolving their slots so the host never blocks); the host
+// surfaces the latched error at the next barrier. A command's slot carries
+// the epoch-buffer parity in its low bit, naming which of the two in-flight
+// slabs owns the completion.
 func (fe *frontEnd) exec(sh *ftlShard, cmd pageCmd) {
-	if sh.err != nil {
-		if cmd.slot >= 0 {
-			fe.epochs[cmd.slot&1].slab.Resolve(int(cmd.slot>>1), cmd.arrival)
+	end := cmd.arrival
+	if sh.err == nil {
+		var err error
+		if cmd.read {
+			end, err = sh.f.ReadPage(ftl.LPN(cmd.lpn), cmd.arrival)
+		} else {
+			end, err = sh.f.WritePage(ftl.LPN(cmd.lpn), cmd.arrival)
 		}
-		return
-	}
-	var end sim.Time
-	var err error
-	if cmd.read {
-		end, err = sh.f.ReadPage(ftl.LPN(cmd.lpn), cmd.arrival)
-	} else {
-		end, err = sh.f.WritePage(ftl.LPN(cmd.lpn), cmd.arrival)
-	}
-	if err != nil {
-		sh.err = err
-		fe.failed.Store(true)
-		if cmd.slot >= 0 {
-			fe.epochs[cmd.slot&1].slab.Resolve(int(cmd.slot>>1), cmd.arrival)
+		if err != nil {
+			sh.err = err
+			fe.failed.Store(true)
+			end = cmd.arrival
+		} else if sh.mqLat != nil {
+			sh.mqLat.Observe(end.Sub(cmd.arrival))
 		}
-		return
 	}
-	if sh.mqLat != nil {
-		sh.mqLat.Observe(end.Sub(cmd.arrival))
-	}
-	if cmd.slot >= 0 {
-		fe.epochs[cmd.slot&1].slab.Resolve(int(cmd.slot>>1), end)
-		return
-	}
-	rt := end.Sub(cmd.arrival)
-	ms := rt.Milliseconds()
-	sh.acc.resp.Add(ms)
-	if cmd.read {
-		sh.acc.readResp.Add(ms)
-	} else {
-		sh.acc.writeResp.Add(ms)
-	}
-	sh.acc.hist.Add(rt)
-	if end > sh.acc.lastDone {
-		sh.acc.lastDone = end
-	}
-	sh.acc.served++
+	fe.epochs[cmd.slot&1].slab.Resolve(int(cmd.slot>>1), end)
 }
 
 // shardOf returns the shard owning a logical page and its shard-local page.
@@ -502,12 +432,8 @@ func (fe *frontEnd) shardOf(lpn ftl.LPN) (*ftlShard, int64) {
 	return fe.shards[l%fe.n], l / fe.n
 }
 
-// enqueue classifies and dispatches one request. With deferred=false (the
-// synchronous Serve path) the request always parks a completion record so
-// the immediately following Flush can return its response time; with
-// deferred=true, relaxed merge folds single-page requests on the workers
-// and parks nothing.
-func (fe *frontEnd) enqueue(c *Controller, r trace.Request, deferred bool) error {
+// enqueue classifies and dispatches one request.
+func (fe *frontEnd) enqueue(c *Controller, r trace.Request) error {
 	if fe.err != nil {
 		return fe.err
 	}
@@ -519,7 +445,7 @@ func (fe *frontEnd) enqueue(c *Controller, r trace.Request, deferred bool) error
 		return fmt.Errorf("ssd: request [%d,%d) exceeds device: %w", r.LBN, r.End(), err)
 	}
 	d := dispReq{arrival: r.Arrival, first: first, last: last, read: r.Op == trace.OpRead}
-	return fe.dispatch(c, d, deferred)
+	return fe.dispatch(c, d)
 }
 
 // enqueueBatch is the batch dispatch stage: classify the whole chunk first
@@ -548,7 +474,7 @@ func (fe *frontEnd) enqueueBatch(c *Controller, reqs []trace.Request) error {
 		fe.disp = append(fe.disp, dispReq{arrival: r.Arrival, first: first, last: last, read: r.Op == trace.OpRead})
 	}
 	for i := range fe.disp {
-		if err := fe.dispatch(c, fe.disp[i], true); err != nil {
+		if err := fe.dispatch(c, fe.disp[i]); err != nil {
 			return err
 		}
 		fe.maybeAdvance(c)
@@ -558,7 +484,7 @@ func (fe *frontEnd) enqueueBatch(c *Controller, reqs []trace.Request) error {
 
 // dispatch stages one classified request: route each page to its shard,
 // park the completion record in the current epoch, and ring doorbells.
-func (fe *frontEnd) dispatch(c *Controller, d dispReq, deferred bool) error {
+func (fe *frontEnd) dispatch(c *Controller, d dispReq) error {
 	npages := int(d.last - d.first + 1)
 	if d.read {
 		c.pagesRead += int64(npages)
@@ -570,15 +496,6 @@ func (fe *frontEnd) dispatch(c *Controller, d dispReq, deferred bool) error {
 			return err
 		}
 		fe.bell(npages)
-		return nil
-	}
-	// Relaxed merge folds single-page requests entirely on the worker; any
-	// consumer that needs the host-side arrival-order stream (latency hook,
-	// time series, recorder, the synchronous Serve API) disqualifies it.
-	if fe.relaxed && deferred && npages == 1 && c.latHook == nil && c.series == nil && c.rec == nil {
-		sh, lpn := fe.shardOf(d.first)
-		sh.sq.PushStaged(pageCmd{lpn: lpn, arrival: d.arrival, slot: -1, read: d.read})
-		fe.bell(1)
 		return nil
 	}
 	ep := &fe.epochs[fe.cur]
@@ -599,7 +516,6 @@ func (fe *frontEnd) dispatch(c *Controller, d dispReq, deferred bool) error {
 		n:       int32(npages),
 		read:    d.read,
 	})
-	ep.pages += npages
 	fe.bell(npages)
 	return nil
 }
@@ -671,7 +587,6 @@ func (fe *frontEnd) serveSerial(c *Controller, arrival sim.Time, first, last ftl
 		n:       int32(last - first + 1),
 		read:    read,
 	})
-	ep.pages += int(last - first + 1)
 	return nil
 }
 
@@ -696,7 +611,7 @@ func (fe *frontEnd) barrier() {
 // maybeAdvance closes the current epoch (see advance) once it holds enough
 // parked pages.
 func (fe *frontEnd) maybeAdvance(c *Controller) {
-	if fe.epochs[fe.cur].pages >= fe.epochPages {
+	if len(fe.epochs[fe.cur].ends) >= fe.epochPages {
 		fe.advance(c)
 	}
 }
@@ -709,12 +624,6 @@ func (fe *frontEnd) maybeAdvance(c *Controller) {
 // runs at most two epochs ahead of the slowest shard — the natural
 // backpressure that bounds both slabs.
 func (fe *frontEnd) advance(c *Controller) {
-	if fe.depth < 2 {
-		// Degenerate pipeline: the classic stop-the-world barrier epoch
-		// (Flush also fires the pulse, matching the pre-pipeline cadence).
-		c.Flush()
-		return
-	}
 	fe.ring()
 	if fe.failed.Load() {
 		// A worker latched an error; quiesce now so fe.err surfaces on the
@@ -830,38 +739,25 @@ func (fe *frontEnd) precondition(c *Controller, pages ftl.LPN) error {
 	return nil
 }
 
-// result aggregates the measurement window across shards. Counters and
-// histograms merge exactly; per-plane and per-block series scatter through
+// result aggregates the measurement window across shards. Response times
+// were folded on the host; per-plane and per-block series scatter through
 // the shard maps into whole-device indexing, so SDRPP and wear metrics read
 // identically to an unsharded device's.
 func (fe *frontEnd) result(c *Controller) Result {
 	c.Flush()
-	resp, readResp, writeResp := c.resp, c.readResp, c.writeResp
-	hist := c.hist.Clone()
-	lastDone, served := c.lastDone, c.served
-	for _, sh := range fe.shards {
-		resp.Merge(sh.acc.resp)
-		readResp.Merge(sh.acc.readResp)
-		writeResp.Merge(sh.acc.writeResp)
-		hist.Merge(sh.acc.hist)
-		if sh.acc.lastDone > lastDone {
-			lastDone = sh.acc.lastDone
-		}
-		served += sh.acc.served
-	}
 	res := Result{
 		FTL:         fe.shards[0].f.Name(),
-		Requests:    served,
+		Requests:    c.served,
 		PagesRead:   c.pagesRead,
 		PagesWrit:   c.pagesWrit,
-		SimulatedS:  sim.Duration(lastDone).Seconds(),
-		MeanRespMs:  resp.Mean(),
-		StdRespMs:   resp.StdDev(),
-		MaxRespMs:   resp.Max(),
-		ReadMeanMs:  readResp.Mean(),
-		WriteMeanMs: writeResp.Mean(),
-		P50Ms:       hist.Quantile(0.5).Milliseconds(),
-		P99Ms:       hist.Quantile(0.99).Milliseconds(),
+		SimulatedS:  sim.Duration(c.lastDone).Seconds(),
+		MeanRespMs:  c.resp.Mean(),
+		StdRespMs:   c.resp.StdDev(),
+		MaxRespMs:   c.resp.Max(),
+		ReadMeanMs:  c.readResp.Mean(),
+		WriteMeanMs: c.writeResp.Mean(),
+		P50Ms:       c.hist.Quantile(0.5).Milliseconds(),
+		P99Ms:       c.hist.Quantile(0.99).Milliseconds(),
 		PlaneOps:    make([]int64, fe.geo.Planes()),
 	}
 	if p, ok := fe.shards[0].f.(interface{ GCPolicyName() string }); ok {
@@ -1086,7 +982,6 @@ func (fe *frontEnd) setRecorder(c *Controller, r obs.Recorder) {
 func (fe *frontEnd) resetMeasurement() {
 	for _, sh := range fe.shards {
 		sh.dev.ResetStats()
-		sh.acc = shardAcc{}
 	}
 }
 
@@ -1096,14 +991,8 @@ func (fe *frontEnd) resetMeasurement() {
 // stays usable for read-only lookups.
 func (fe *frontEnd) recoverShards(cfg Config, extra int) (*frontEnd, error) {
 	fe.stop()
-	nfe := &frontEnd{
-		n:       fe.n,
-		geo:     fe.geo,
-		cap:     fe.cap,
-		subCap:  fe.subCap,
-		relaxed: cfg.Merge == MergeRelaxed,
-	}
-	nfe.initTunables(cfg)
+	nfe := &frontEnd{n: fe.n, geo: fe.geo, cap: fe.cap, subCap: fe.subCap, epochPages: defaultEpochPages}
+	nfe.initRoute()
 	for _, sh := range fe.shards {
 		f, err := recoverFTL(sh.dev, cfg, extra)
 		if err != nil {
